@@ -4,13 +4,15 @@ Layers, from the bottom up:
 
 * :mod:`pnp_steric.branch` - algebra of one oppositely charged ion pair:
   solution branches, critical constants, monotone segment inverses;
-* :mod:`pnp_steric.rhs` - reduced Poisson right-hand sides for the
-  three- and four-species charge configurations;
+* :mod:`pnp_steric.rhs` - reduced Poisson right-hand sides: one
+  ``assemble`` for the three- and four-species configurations, which
+  differ only in the charge terms (``charge_terms``) summed into f;
 * :mod:`pnp_steric.bvp` - singularly perturbed boundary value solver
   with Robin data, plus structural checks (classification, envelope,
   boundary layers, linearised stability, unbounded growth);
 * :mod:`pnp_steric.current` - excess electric current, evaluated by two
-  independent quadrature routes that must agree;
+  independent quadrature routes that must agree (``pointwise_current``
+  with ``integral_current_x``, and ``integral_current_sigma``);
 * :mod:`pnp_steric.cli` - command line front end.
 """
 
@@ -48,9 +50,11 @@ from .current import (
     CurrentProfile,
     DiffusionSet,
     generic_current,
+    integral_current_sigma,
     integral_current_sigma_four,
     integral_current_sigma_three,
     integral_current_x,
+    pointwise_current,
     pointwise_current_four,
     pointwise_current_three,
 )
@@ -76,8 +80,10 @@ from .rhs import (
     FourSpeciesConfig,
     RhsFunction,
     ThreeSpeciesConfig,
+    assemble,
     assemble_four_species,
     assemble_three_species,
+    charge_terms,
     third_species_concentration,
 )
 

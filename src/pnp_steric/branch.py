@@ -243,16 +243,15 @@ def phi_on_branch(sigma, params, branch):
     space) and the negated difference, so phi_B(sigma) = -phi_A(sigma).
     """
     _check_branch(branch)
-    g, z, q = params.g, params.z, params.q
     sigma = np.asarray(sigma, dtype=float)
-    s = _sqrt_disc(sigma, params)
-    half = 0.5 * (g + z) * sigma
     if branch == "A":
-        out = (np.log(0.5 * (sigma + s)) + half + 0.5 * (g - z) * s) / q
+        out = _phi_a(sigma, params)
     else:
+        g, z, q = params.g, params.z, params.q
+        s = _sqrt_disc(sigma, params)
         # ln(c2) = ln(2E/(sigma+s)) expanded so the decay never underflows
         log_small = math.log(2.0) - (g + z) * sigma - np.log(sigma + s)
-        out = (log_small + half - 0.5 * (g - z) * s) / q
+        out = (log_small + 0.5 * (g + z) * sigma - 0.5 * (g - z) * s) / q
     return out if out.ndim else float(out)
 
 
@@ -264,14 +263,11 @@ def dphi_dsigma(sigma, params, branch):
     DomainError at or below the threshold.
     """
     _check_branch(branch)
-    g, z, q = params.g, params.z, params.q
     sigma = np.asarray(sigma, dtype=float)
     sz = sigma_z(params)
     if np.any(sigma <= sz):
         raise DomainError("derivative is singular at or below sigma_z=%.17g" % sz)
-    s = _sqrt_disc(sigma, params, clamp=False)
-    tilde = 1.0 + g * sigma + (g * g - z * z) * _decay(sigma, params)
-    out = tilde / (q * s)
+    out = _dphi_a(sigma, params)
     if branch == "B":
         out = -out
     return out if out.ndim else float(out)
@@ -334,6 +330,14 @@ def _clamp_to(value, lo, hi, scale):
     return np.clip(value, lo, hi)
 
 
+def _finite_potentials(phi):
+    """phi as a float array; DomainError if any entry is nan or infinite."""
+    phi = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi)):
+        raise DomainError("potential must be finite")
+    return phi
+
+
 def inverse_sigma(phi, params, segment):
     """Total concentration on one monotone segment, as a function of phi.
 
@@ -354,12 +358,12 @@ def inverse_sigma(phi, params, segment):
     DomainError.
     """
     _check_segment(segment)
+    phi = _finite_potentials(phi)
     if segment.startswith("B"):
-        return inverse_sigma(-np.asarray(phi, dtype=float), params, "A" + segment[1])
+        return inverse_sigma(-phi, params, "A" + segment[1])
 
     sc = sigma_c(params)  # raises SubcriticalError when no turning point
     pac = phi_crit(params)
-    phi = np.asarray(phi, dtype=float)
     scalar = phi.ndim == 0
 
     if segment == "A2":
@@ -395,7 +399,7 @@ def unified_sigma(phi, params):
         )
     if params.z <= 0.0:
         raise DomainError("unified inverse requires z > 0")
-    phi = np.asarray(phi, dtype=float)
+    phi = _finite_potentials(phi)
     scalar = phi.ndim == 0
     sz = sigma_z(params)
     mag = np.abs(phi)

@@ -8,6 +8,10 @@ Subcommands map one-to-one onto the library layers:
 * ``current``   - pointwise excess current and its window integrals
 * ``sweep``     - repeat any of the above over a list of parameter values
 
+``solve`` and ``current`` build a three- or four-species configuration
+and read its charge terms from rhs.charge_terms; the concentration
+columns c1..cN follow that species order.
+
 Parameters come from an optional JSON configuration file (``--config``)
 overridden by command line flags.  Reports are emitted as CSV (default)
 or JSON; JSON output is a single object with ``config``, ``results`` and
@@ -151,15 +155,9 @@ def _species_config(cfg):
     return rhs.FourSpeciesConfig(_pair(cfg), _pair(cfg, "34"), cfg["rho0"])
 
 
-def _assemble(cfg):
-    spec_cfg = _species_config(cfg)
-    if cfg["species"] == "three":
-        return spec_cfg, rhs.assemble_three_species(spec_cfg, cfg["branch"])
-    return spec_cfg, rhs.assemble_four_species(spec_cfg, cfg["branch"])
-
-
 def _solve(cfg):
-    spec_cfg, fn = _assemble(cfg)
+    spec_cfg = _species_config(cfg)
+    fn = rhs.assemble(spec_cfg, cfg["branch"])
     left = cfg["phi0_left"] if cfg["phi0_left"] is not None else fn.root
     right = cfg["phi0_right"] if cfg["phi0_right"] is not None else fn.root
     bc = bvp.RobinBC(left, right, cfg["eta"])
@@ -198,26 +196,16 @@ def _run_branches(cfg):
 
 
 def _profile_table(cfg, spec_cfg, sol):
-    x, phi = sol.nodes, sol.values
-    cols = ["x", "phi"]
-    data = [x, phi]
-    if cfg["species"] == "three":
-        label = cfg["branch"]
-        sig = branch.inverse_sigma(phi, spec_cfg.pair, label + "1")
-        c1, c2 = branch.concentrations(sig, spec_cfg.pair, label)
-        c3 = rhs.third_species_concentration(phi, spec_cfg.z3)
-        cols += ["c1", "c2", "c3"]
-        data += [c1, c2, c3]
-    else:
-        label = cfg["branch"]
-        other = "B" if label == "A" else "A"
-        sig12 = branch.inverse_sigma(phi, spec_cfg.pair12, label + "1")
-        sig34 = branch.inverse_sigma(phi, spec_cfg.pair34, other + "1")
-        c1, c2 = branch.concentrations(sig12, spec_cfg.pair12, label)
-        c3, c4 = branch.concentrations(sig34, spec_cfg.pair34, other)
-        cols += ["c1", "c2", "c3", "c4"]
-        data += [c1, c2, c3, c4]
-    return {"columns": cols, "rows": np.column_stack(data).tolist()}
+    """Potential and concentrations c1..cN, in species order (rhs.charge_terms)."""
+    phi = sol.values
+    pairs, valences, _ = rhs.charge_terms(spec_cfg, cfg["branch"])
+    conc = []
+    for pair, label in pairs:
+        sig = branch.inverse_sigma(phi, pair, label + "1")
+        conc.extend(branch.concentrations(sig, pair, label))
+    conc.extend(rhs.third_species_concentration(phi, z) for z in valences)
+    cols = ["x", "phi"] + ["c%d" % (i + 1) for i in range(len(conc))]
+    return {"columns": cols, "rows": np.column_stack([sol.nodes, phi] + conc).tolist()}
 
 
 def _run_solve(cfg):
@@ -235,20 +223,15 @@ def _run_solve(cfg):
 
 def _run_current(cfg):
     spec_cfg, fn, sol = _solve(cfg)
-    n = 3 if cfg["species"] == "three" else 4
+    label = cfg["branch"]
+    pairs, valences, _ = rhs.charge_terms(spec_cfg, label)
+    n = 2 * len(pairs) + len(valences)
     coeffs = tuple(cfg["d%d" % i] for i in range(1, n + 1))
     diff = current.DiffusionSet(coeffs, cfg["charge_scale"])
-    label = cfg["branch"]
-    if cfg["species"] == "three":
-        prof = current.pointwise_current_three(sol, spec_cfg, diff, label)
-        i_sigma = current.integral_current_sigma_three(
-            sol, spec_cfg, diff, label, cfg["x1"], cfg["x2"]
-        )
-    else:
-        prof = current.pointwise_current_four(sol, spec_cfg, diff, label)
-        i_sigma = current.integral_current_sigma_four(
-            sol, spec_cfg, diff, label, cfg["x1"], cfg["x2"]
-        )
+    prof = current.pointwise_current(sol, spec_cfg, diff, label)
+    i_sigma = current.integral_current_sigma(
+        sol, spec_cfg, diff, label, cfg["x1"], cfg["x2"]
+    )
     i_x = current.integral_current_x(prof, cfg["x1"], cfg["x2"])
     return {
         "current": {

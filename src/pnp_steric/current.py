@@ -10,6 +10,9 @@ steric couplings.  The excess part admits two independent evaluations:
   of each pair, integrated with adaptive quadrature between the window
   endpoint images.
 
+Which steric pairs contribute, and on which branch, comes from
+rhs.charge_terms; the Boltzmann ions carry no excess current.
+
 Both routes are implemented from scratch and agreement between them is
 the package's primary correctness check for this module.  A third,
 configuration-agnostic formula evaluates the excess current directly
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from . import branch
+from . import branch, rhs
 from .errors import (
     BoundsError,
     BranchMismatchError,
@@ -36,9 +39,11 @@ from .quadrature import adaptive_simpson
 __all__ = [
     "DiffusionSet",
     "CurrentProfile",
+    "pointwise_current",
     "pointwise_current_three",
     "pointwise_current_four",
     "integral_current_x",
+    "integral_current_sigma",
     "integral_current_sigma_three",
     "integral_current_sigma_four",
     "generic_current",
@@ -132,41 +137,31 @@ def _segment_sigmas(phi, pair, branch_label):
     return branch.inverse_sigma(phi, pair, segment)
 
 
-def pointwise_current_three(solution, config, diffusion, label):
-    """Excess current density I(x) for the pair + third species setup.
-
-    The steric-free third species carries no excess current, so only the
-    pair contributes: I = q * e * i(sigma(phi)) * dphi/dx.
-    """
-    x, phi = _nodes_values(solution)
-    pair = config.pair
-    d1, d2 = diffusion.coefficients[0], diffusion.coefficients[1]
-    sig = _segment_sigmas(phi, pair, label)
-    factor = _pair_current_factor(sig, pair, (d1, d2), label)
-    dphi = grid_derivative(x, phi)
-    values = pair.q * diffusion.charge_scale * factor * dphi
-    return CurrentProfile(x, values)
-
-
-def pointwise_current_four(solution, config, diffusion, label):
-    """Excess current density I(x) with two steric pairs.
-
-    The second pair rides the opposite outer segment, mirroring the
-    right-hand side assembly: its mobility factor takes the "B" form on
-    label "A" and vice versa.
-    """
-    x, phi = _nodes_values(solution)
+def _pair_diffusions(diffusion, n_pairs):
+    """Diffusion coefficient pairs (D1, D2) of each steric pair, in order."""
     d = diffusion.coefficients
-    if len(d) < 4:
-        raise DomainError("four diffusion coefficients required")
-    other = "B" if label == "A" else "A"
-    sig12 = _segment_sigmas(phi, config.pair12, label)
-    sig34 = _segment_sigmas(phi, config.pair34, other)
-    f12 = _pair_current_factor(sig12, config.pair12, (d[0], d[1]), label)
-    f34 = _pair_current_factor(sig34, config.pair34, (d[2], d[3]), other)
-    dphi = grid_derivative(x, phi)
-    e = diffusion.charge_scale
-    values = (config.pair12.q * f12 + config.pair34.q * f34) * e * dphi
+    if len(d) < 2 * n_pairs:
+        raise DomainError(
+            "%d diffusion coefficients required for %d steric pair(s)"
+            % (2 * n_pairs, n_pairs)
+        )
+    return [(d[2 * k], d[2 * k + 1]) for k in range(n_pairs)]
+
+
+def pointwise_current(solution, config, diffusion, label):
+    """Excess current density I(x) = e * sum_pairs q * i(sigma(phi)) * dphi/dx.
+
+    Each steric pair rides the segment given by rhs.charge_terms; the
+    steric-free Boltzmann ions carry no excess current.
+    """
+    x, phi = _nodes_values(solution)
+    pairs, _, _ = rhs.charge_terms(config, label)
+    d_pairs = _pair_diffusions(diffusion, len(pairs))
+    total = 0.0
+    for (pair, lab), d_pair in zip(pairs, d_pairs):
+        sig = _segment_sigmas(phi, pair, lab)
+        total = total + pair.q * _pair_current_factor(sig, pair, d_pair, lab)
+    values = total * diffusion.charge_scale * grid_derivative(x, phi)
     return CurrentProfile(x, values)
 
 
@@ -240,41 +235,20 @@ def _warn_if_on_turning_point(sigma, pair):
         )
 
 
-def integral_current_sigma_three(solution, config, diffusion, label, x1, x2):
-    """Window-integrated excess current via the sigma change of variables."""
-    _check_window(x1, x2)
-    if x1 == x2:
-        return 0.0
-    pair = config.pair
-    p1, p2 = _window_potentials(solution, x1, x2)
-    s1 = float(_segment_sigmas(p1, pair, label))
-    s2 = float(_segment_sigmas(p2, pair, label))
-    for s in (s1, s2):
-        _warn_if_on_turning_point(s, pair)
-    d = diffusion.coefficients
-    integrand = _sigma_integrand(pair, (d[0], d[1]), label)
-    return diffusion.charge_scale * adaptive_simpson(integrand, s1, s2)
+def integral_current_sigma(solution, config, diffusion, label, x1, x2):
+    """Window-integrated excess current via the sigma change of variables.
 
-
-def integral_current_sigma_four(solution, config, diffusion, label, x1, x2):
-    """Sigma-route window integral with two pairs, one term per pair.
-
-    Each pair is integrated between its own sigma images of the window
-    endpoints, with the second pair on the mirrored branch form.
+    One term per steric pair (see rhs.charge_terms), each integrated
+    between that pair's own sigma images of the window endpoints.
     """
     _check_window(x1, x2)
     if x1 == x2:
         return 0.0
-    d = diffusion.coefficients
-    if len(d) < 4:
-        raise DomainError("four diffusion coefficients required")
+    pairs, _, _ = rhs.charge_terms(config, label)
+    d_pairs = _pair_diffusions(diffusion, len(pairs))
     p1, p2 = _window_potentials(solution, x1, x2)
-    other = "B" if label == "A" else "A"
     total = 0.0
-    for pair, d_pair, lab in (
-        (config.pair12, (d[0], d[1]), label),
-        (config.pair34, (d[2], d[3]), other),
-    ):
+    for (pair, lab), d_pair in zip(pairs, d_pairs):
         s1 = float(_segment_sigmas(p1, pair, lab))
         s2 = float(_segment_sigmas(p2, pair, lab))
         for s in (s1, s2):
@@ -282,6 +256,13 @@ def integral_current_sigma_four(solution, config, diffusion, label, x1, x2):
         integrand = _sigma_integrand(pair, d_pair, lab)
         total += diffusion.charge_scale * adaptive_simpson(integrand, s1, s2)
     return total
+
+
+# Configuration-specific names, kept for callers written against them.
+pointwise_current_three = pointwise_current
+pointwise_current_four = pointwise_current
+integral_current_sigma_three = integral_current_sigma
+integral_current_sigma_four = integral_current_sigma
 
 
 def generic_current(solution, concentrations, valences, diffusion, coupling):

@@ -2,18 +2,25 @@
 
 After eliminating the concentrations through the branch inverses, the
 steady-state potential satisfies eps * phi'' = f(phi) where f collects
-the net charge density as a function of phi alone.  Two charge
-configurations are supported:
+the net charge density as a function of phi alone.  Every configuration
+decomposes into the same three kinds of charge term (charge_terms):
+
+* steric pairs, each contributing q*(c1 - c2) along the outer segment
+  ("A1" or "B1") of one branch;
+* Boltzmann ions of valence z, each contributing -z*exp(-z*phi);
+* a constant background charge.
+
+Two configurations are supported:
 
 * three species: one steric pair plus a third, steric-free counter-ion
-  of valence z3 with concentration exp(-z3*phi), balanced against a
-  constant background density rho0;
+  of valence z3, balanced against a background density +rho0;
 * four species: two independent steric pairs balanced against a
-  constant background of either sign.
+  background -rho0 of either sign.
 
 Each configuration yields one right-hand side per outer branch label
 ("A" or "B"); the two generally admit distinct bulk roots and hence
-distinct steady states.
+distinct steady states.  The first pair rides the labelled branch and a
+second pair the mirrored one, so every term is increasing in phi.
 """
 
 import math
@@ -36,6 +43,8 @@ __all__ = [
     "ThreeSpeciesConfig",
     "FourSpeciesConfig",
     "RhsFunction",
+    "charge_terms",
+    "assemble",
     "assemble_three_species",
     "assemble_four_species",
     "third_species_concentration",
@@ -145,85 +154,76 @@ def _locate_root(fn, lo, hi):
     return brentq(fn, lo, hi, xtol=1e-12, rtol=_ROOT_RTOL)
 
 
-def assemble_three_species(config, label):
-    """Right-hand side f(phi) for the pair + third species configuration.
+def charge_terms(config, label):
+    """Charge terms summed into f for one configuration and outer label.
 
-    f_A(phi) = q*(c1 - c2)(sigma_A1(phi)) - z3*exp(-z3*phi) + rho0 on the
-    A window; f_B uses the B1 inverse on the mirrored window.  The pair
-    must be supercritical (z > g_crit(g)); a missing sign change raises
-    NoIntersectionError.
+    Returns (pairs, valences, background): pairs lists each steric pair in
+    species order with the branch ("A" or "B") of the outer segment it
+    rides, valences the Boltzmann ions, background the fixed charge.
+    Label "A" puts the first pair on its A1 segment; any second pair
+    rides the mirrored segment (B1 on label "A", A1 on label "B") so that
+    every charge term is increasing in phi.  Three species contribute the
+    background +rho0, four species -rho0.  This is the only place that
+    knows the mirror rule and the sign convention for rho0.
     """
     if label not in ("A", "B"):
         raise DomainError("label must be 'A' or 'B', got %r" % (label,))
-    pair, z3, rho0 = config.pair, config.z3, config.rho0
-    if pair.z <= branch.g_crit(pair.g):
-        raise SubcriticalError(
-            "three-species assembly requires a supercritical pair "
-            "(z > g_crit(g) = %.6g)" % branch.g_crit(pair.g)
-        )
-    segment = label + "1"
-    lo, hi = _segment_window(pair, segment)
-
-    def evaluator(phi):
-        diff = branch.c_diff_on_segment(phi, pair, segment)
-        return pair.q * diff - z3 * np.exp(-z3 * phi) + rho0
-
-    def derivative(phi):
-        ddiff = branch.c_diff_segment_derivative(phi, pair, segment)
-        return pair.q * ddiff + z3 * z3 * np.exp(-z3 * phi)
-
-    root = _locate_root(lambda p: float(evaluator(p)), lo, hi)
-    if root is None:
-        raise NoIntersectionError(
-            "f_%s has no sign change on [%g, %g]; "
-            "a positive background rho0 is required" % (label, lo, hi)
-        )
-    return RhsFunction(label, (lo, hi), root, evaluator, derivative)
+    if isinstance(config, ThreeSpeciesConfig):
+        return ((config.pair, label),), (config.z3,), config.rho0
+    mirror = "B" if label == "A" else "A"
+    return ((config.pair12, label), (config.pair34, mirror)), (), -config.rho0
 
 
-def assemble_four_species(config, label):
-    """Right-hand side f(phi) for two steric pairs over a background.
+def assemble(config, label):
+    """Right-hand side f(phi) of a configuration on one outer label.
 
-    The first pair contributes through its "A1"/"B1" segment as labelled;
-    the second pair enters with the opposite orientation (its own "B1"
-    segment on label "A" and "A1" on label "B"), so both charge terms are
-    increasing in phi.  The domain is the overlap of the two segment
-    windows; an empty overlap raises EmptyDomainError.
+    f(phi) = sum_pairs q*(c1 - c2)(sigma(phi)) - sum_ions z*exp(-z*phi)
+    + background, each pair composed with the inverse of its outer
+    segment (see charge_terms).  Every pair must be supercritical
+    (z > g_crit(g)).  The domain is the overlap of the pairs' segment
+    windows; an empty overlap raises EmptyDomainError and a missing sign
+    change NoIntersectionError.
     """
-    if label not in ("A", "B"):
-        raise DomainError("label must be 'A' or 'B', got %r" % (label,))
-    p12, p34, rho0 = config.pair12, config.pair34, config.rho0
-    for name, pair in (("pair12", p12), ("pair34", p34)):
+    pairs, valences, background = charge_terms(config, label)
+    segments = [(pair, lab + "1") for pair, lab in pairs]
+    lo, hi = -math.inf, math.inf
+    for pair, segment in segments:
         if pair.z <= branch.g_crit(pair.g):
             raise SubcriticalError(
-                "four-species assembly requires supercritical pairs; "
-                "%s has z <= g_crit(g)" % name
+                "assembly requires supercritical pairs; (g, z) = (%g, %g) has "
+                "z <= g_crit(g) = %.6g" % (pair.g, pair.z, branch.g_crit(pair.g))
             )
-    seg12 = label + "1"
-    seg34 = ("B1" if label == "A" else "A1")
-    lo12, hi12 = _segment_window(p12, seg12)
-    lo34, hi34 = _segment_window(p34, seg34)
-    lo, hi = max(lo12, lo34), min(hi12, hi34)
-    if lo >= hi:
-        raise EmptyDomainError(
-            "segment windows [%g, %g] and [%g, %g] do not overlap"
-            % (lo12, hi12, lo34, hi34)
-        )
+        seg_lo, seg_hi = _segment_window(pair, segment)
+        lo, hi = max(lo, seg_lo), min(hi, seg_hi)
+        if lo >= hi:
+            raise EmptyDomainError(
+                "segment window [%g, %g] leaves an empty overlap" % (seg_lo, seg_hi)
+            )
 
     def evaluator(phi):
-        d12 = branch.c_diff_on_segment(phi, p12, seg12)
-        d34 = branch.c_diff_on_segment(phi, p34, seg34)
-        return p12.q * d12 + p34.q * d34 - rho0
+        total = 0.0
+        for pair, segment in segments:
+            total = total + pair.q * branch.c_diff_on_segment(phi, pair, segment)
+        for z in valences:
+            total = total - z * np.exp(-z * phi)
+        return total + background
 
     def derivative(phi):
-        d12 = branch.c_diff_segment_derivative(phi, p12, seg12)
-        d34 = branch.c_diff_segment_derivative(phi, p34, seg34)
-        return p12.q * d12 + p34.q * d34
+        total = 0.0
+        for pair, segment in segments:
+            total = total + pair.q * branch.c_diff_segment_derivative(phi, pair, segment)
+        for z in valences:
+            total = total + z * z * np.exp(-z * phi)
+        return total
 
     root = _locate_root(lambda p: float(evaluator(p)), lo, hi)
     if root is None:
         raise NoIntersectionError(
-            "f_%s has no sign change on the window overlap [%g, %g]"
-            % (label, lo, hi)
+            "f_%s has no sign change on [%g, %g]" % (label, lo, hi)
         )
     return RhsFunction(label, (lo, hi), root, evaluator, derivative)
+
+
+# Configuration-specific names, kept for callers written against them.
+assemble_three_species = assemble
+assemble_four_species = assemble

@@ -228,6 +228,21 @@ class TestInverses:
         with pytest.raises(SupercriticalError):
             ps.unified_sigma(0.1, pair(1, 20))
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, [0.1, math.nan]])
+    @pytest.mark.parametrize(
+        "invert",
+        [
+            lambda phi: ps.inverse_sigma(phi, pair(1, 20), "A1"),
+            lambda phi: ps.inverse_sigma(phi, pair(1, 20), "A2"),
+            lambda phi: ps.inverse_sigma(phi, pair(1, 20), "B1"),
+            lambda phi: ps.unified_sigma(phi, pair(0.5, 1)),
+        ],
+        ids=["A1", "A2", "B1", "unified"],
+    )
+    def test_non_finite_potential_rejected(self, invert, phi):
+        with pytest.raises(DomainError):
+            invert(phi)
+
 
 class TestSegmentComposition:
     def test_endpoint_values(self):

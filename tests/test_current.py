@@ -132,6 +132,16 @@ class TestFourSpecies:
         with pytest.raises(DomainError):
             current.pointwise_current_four((x, phi), self.CFG, DIFF, "A")
 
+    def test_three_species_needs_two_coefficients(self):
+        fn = ps.assemble_three_species(CONFIG, "A")
+        x = np.linspace(-1, 1, 51)
+        phi = np.full_like(x, fn.root)
+        one = ps.DiffusionSet((1.0,))
+        with pytest.raises(DomainError):
+            current.pointwise_current_three((x, phi), CONFIG, one, "A")
+        with pytest.raises(DomainError):
+            current.integral_current_sigma_three((x, phi), CONFIG, one, "A", -0.5, 0.5)
+
 
 class TestGenericFormula:
     def _profiles(self, slope=0.05, n=4001):
