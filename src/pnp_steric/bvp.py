@@ -7,20 +7,21 @@ Solves eps * phi'' = f(phi) on (-1, 1) with Robin data
 
 on a uniform grid with second-order central differences inside and
 second-order one-sided stencils for the boundary derivatives, by damped
-Newton iteration with continuation in eps.  The companion routines
-verify the qualitative structure the maximum principle forces on the
-solution: classification against the bulk root, pointwise bounds, an
-exponential interior envelope, boundary layer limits, linearised
-stability, and unbounded growth when f has no root.
+Newton iteration with continuation in eps.  The one-sided stencils reach
+two nodes in, so each Newton step is one banded LU solve with two bands
+on either side of the diagonal.  The companion routines verify the
+qualitative structure the maximum principle forces on the solution:
+classification against the bulk root, pointwise bounds, an exponential
+interior envelope, boundary layer limits, linearised stability (the
+bottom eigenvalue of the symmetrised tridiagonal operator, by
+bisection), and unbounded growth when f has no root.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import (
     DomainError,
@@ -138,21 +139,21 @@ def _residual(phi, h, eps, rhs, bc):
 
 
 def _jacobian(phi, h, eps, rhs, bc):
+    """Jacobian J of _residual in solve_banded (2, 2) storage: ab[2 + i - j, j] = J[i, j]."""
     n = phi.size
     c = eps / (h * h)
-    main = np.empty(n)
-    lower = np.full(n - 1, c)
-    upper = np.full(n - 1, c)
-    main[1:-1] = -2.0 * c - rhs.derivative(phi[1:-1])
     two_h = 2.0 * h
-    main[0] = 1.0 + 3.0 * bc.eta / two_h
-    upper[0] = -4.0 * bc.eta / two_h
-    main[-1] = 1.0 + 3.0 * bc.eta / two_h
-    lower[-1] = -4.0 * bc.eta / two_h
-    jac = sp.diags([lower, main, upper], [-1, 0, 1], format="lil")
-    jac[0, 2] = bc.eta / two_h
-    jac[-1, -3] = bc.eta / two_h
-    return jac.tocsc()
+    ab = np.zeros((5, n))
+    ab[1, 1:] = c
+    ab[3, :-1] = c
+    ab[2, 1:-1] = -2.0 * c - rhs.derivative(phi[1:-1])
+    ab[2, 0] = 1.0 + 3.0 * bc.eta / two_h
+    ab[1, 1] = -4.0 * bc.eta / two_h
+    ab[0, 2] = bc.eta / two_h
+    ab[2, -1] = 1.0 + 3.0 * bc.eta / two_h
+    ab[3, -2] = -4.0 * bc.eta / two_h
+    ab[4, -3] = bc.eta / two_h
+    return ab
 
 
 def _newton(phi, h, eps, rhs, bc, domain, tol):
@@ -169,7 +170,7 @@ def _newton(phi, h, eps, rhs, bc, domain, tol):
         floor = 50.0 * macheps * (eps / (h * h)) * max(1.0, float(np.max(np.abs(phi))))
         if norm <= max(tol, floor):
             return phi, norm, it - 1
-        delta = spla.spsolve(_jacobian(phi, h, eps, rhs, bc), -res)
+        delta = solve_banded((2, 2), _jacobian(phi, h, eps, rhs, bc), -res)
         lam = 1.0
         while True:
             trial = phi + lam * delta
@@ -378,8 +379,12 @@ def linearized_smallest_eigenvalue(solution, rhs):
 
     The homogeneous Robin conditions eliminate the boundary values in
     favour of the first interior nodes, leaving an (n-2) x (n-2)
-    operator; the bottom of its spectrum is found by shift-invert from
-    below min f'(phi).  Falls back to a dense solve on small grids.
+    tridiagonal operator whose end rows carry the off-diagonal pairs
+    (-c + c*w, -c), c = eps/h^2 and w = eta/(2h + 3 eta) < 1/3.  Each
+    pair has a positive product, so a diagonal similarity makes the
+    operator symmetric with off-diagonal -c*sqrt(1 - w) there; the
+    bottom of its spectrum is then found by symmetric tridiagonal
+    bisection.
     """
     phi = solution.values
     x = solution.nodes
@@ -392,29 +397,17 @@ def linearized_smallest_eigenvalue(solution, rhs):
         fp = np.full(n - 2, float(fp))
 
     c = eps / (h * h)
+    # Eliminate v0 = eta*(4 v1 - v2)/(2h + 3 eta) and its mirror.
+    w = eta / (2.0 * h + 3.0 * eta)
     main = 2.0 * c + fp
-    lower = np.full(n - 3, -c)
-    upper = np.full(n - 3, -c)
-    mat = sp.diags([lower, main, upper], [-1, 0, 1], format="lil")
-    if eta > 0:
-        # Eliminate v0 = eta*(4 v1 - v2)/(2h + 3 eta) and its mirror.
-        w = eta / (2.0 * h + 3.0 * eta)
-        mat[0, 0] -= c * 4.0 * w
-        mat[0, 1] += c * w
-        mat[-1, -1] -= c * 4.0 * w
-        mat[-1, -2] += c * w
-    mat = mat.tocsc()
-
-    mu0 = float(np.min(fp))
-    if n - 2 <= 400:
-        return float(np.min(np.real(np.linalg.eigvals(mat.toarray()))))
-    sigma = mu0 - max(1.0, abs(mu0))
-    try:
-        vals = spla.eigs(mat, k=1, sigma=sigma, which="LM", return_eigenvectors=False)
-        return float(np.real(vals[0]))
-    except Exception:  # pragma: no cover - dense fallback
-        warnings.warn("sparse eigensolver failed; using dense fallback")
-        return float(np.min(np.real(np.linalg.eigvals(mat.toarray()))))
+    main[0] -= c * 4.0 * w
+    main[-1] -= c * 4.0 * w
+    off = np.full(n - 3, -c)
+    off[0] = off[-1] = -c * math.sqrt(1.0 - w)
+    vals = eigh_tridiagonal(
+        main, off, eigvals_only=True, select="i", select_range=(0, 0)
+    )
+    return float(vals[0])
 
 
 def unbounded_growth_probe(rhs, epsilons, bc=None, n_nodes=None):

@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import warnings
@@ -126,10 +127,13 @@ def parse_config(raw, mode):
         raise ConfigError("branch must be 'A' or 'B'")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError("format must be 'csv' or 'json'")
-    if cfg["epsilon"] <= 0:
-        raise ConfigError("epsilon must be positive")
-    if cfg["eta"] < 0:
-        raise ConfigError("eta must be nonnegative")
+    for name in ("epsilon", "d1", "d2", "d3", "d4", "charge_scale"):
+        if not (math.isfinite(cfg[name]) and cfg[name] > 0):
+            raise ConfigError("%s must be a positive finite number" % name)
+    if not (math.isfinite(cfg["eta"]) and cfg["eta"] >= 0):
+        raise ConfigError("eta must be a nonnegative finite number")
+    if cfg["n_nodes"] is not None and cfg["n_nodes"] < 5:
+        raise ConfigError("n_nodes must be at least 5")
     if mode in ("solve", "current"):
         if cfg["species"] == "three" and cfg["rho0"] <= 0:
             raise ConfigError(
@@ -293,19 +297,26 @@ def _report_to_csv(report):
     return buf.getvalue()
 
 
+def _render(report, fmt):
+    if fmt == "json":
+        return json.dumps(report, indent=2) + "\n"
+    return _report_to_csv(report)
+
+
+def _output_path(path):
+    """Relative output paths resolve under $PNP_STERIC_OUTDIR when it is set."""
+    outdir = os.environ.get(OUTDIR_ENV)
+    if outdir and not os.path.isabs(path):
+        return os.path.join(outdir, path)
+    return path
+
+
 def _emit(report, cfg):
-    if cfg["format"] == "json":
-        text = json.dumps(report, indent=2) + "\n"
-    else:
-        text = _report_to_csv(report)
-    out = cfg["out"]
-    if out is None:
+    text = _render(report, cfg["format"])
+    if cfg["out"] is None:
         sys.stdout.write(text)
         return
-    outdir = os.environ.get(OUTDIR_ENV)
-    if outdir and not os.path.isabs(out):
-        out = os.path.join(outdir, out)
-    with open(out, "w", newline="") as fh:
+    with open(_output_path(cfg["out"]), "w", newline="") as fh:
         fh.write(text)
 
 
@@ -349,10 +360,7 @@ def _run_sweep(args):
         raise ConfigError("empty sweep value list")
 
     ext = "json" if base["format"] == "json" else "csv"
-    outdir = os.environ.get(OUTDIR_ENV)
-    stem = base["out"]
-    if outdir and not os.path.isabs(stem):
-        stem = os.path.join(outdir, stem)
+    stem = _output_path(base["out"])
     entries = []
     for value in values:
         point = dict(raw)
@@ -360,11 +368,7 @@ def _run_sweep(args):
         cfg = parse_config(point, args.target)
         path = "%s_%s_%s.%s" % (stem, param, _format_cell(cfg[param]), ext)
         cfg["out"] = None
-        report = run(cfg)
-        if base["format"] == "json":
-            text = json.dumps(report, indent=2) + "\n"
-        else:
-            text = _report_to_csv(report)
+        text = _render(run(cfg), base["format"])
         with open(path, "w", newline="") as fh:
             fh.write(text)
         entries.append({"parameter": param, "value": cfg[param], "file": path})

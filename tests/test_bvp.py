@@ -104,6 +104,32 @@ class TestSolve:
             other = bvp.solve(problem, initial=guess)
             assert np.max(np.abs(other.values - base.values)) < 1e-8
 
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 3.0])
+    def test_banded_jacobian_matches_finite_differences(self, three_species, eta):
+        n = 41
+        x = np.linspace(-1.0, 1.0, n)
+        h = x[1] - x[0]
+        eps = 1e-2
+        c = three_species.root
+        phi = c + 0.2 * np.cos(2.0 * x) - 0.05 * x
+        bc = bvp.RobinBC(c + 0.3, c - 0.1, eta)
+        ab = bvp._jacobian(phi, h, eps, three_species, bc)
+        dense = np.zeros((n, n))
+        for k in range(-2, 3):
+            # diagonal k sits in row 2 - k of solve_banded's (2, 2) storage
+            band = ab[2 - k, max(k, 0):n + min(k, 0)]
+            dense += np.diag(band, k)
+        step = 1e-6
+        fd = np.empty((n, n))
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = step
+            fd[:, j] = (
+                bvp._residual(phi + e, h, eps, three_species, bc)
+                - bvp._residual(phi - e, h, eps, three_species, bc)
+            ) / (2.0 * step)
+        assert np.max(np.abs(dense - fd)) <= 1e-7 * np.max(np.abs(fd))
+
     def test_grid_rule(self):
         assert bvp.default_grid_size(1.0, 0.0) == 201
         assert bvp.default_grid_size(1e-4, 1.0) == 2000
@@ -206,6 +232,30 @@ class TestStability:
                                                         sol.values.max(), 401)))
         )
         assert lam >= mu0 - 1e-6
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 3.0])
+    def test_robin_eigenvalue_matches_dense_reference(self, three_species, eta):
+        c = three_species.root
+        sol = bvp.solve(
+            bvp.BvpProblem(
+                1e-2, three_species, bvp.RobinBC(c + 0.3, c - 0.1, eta), 201
+            )
+        )
+        h = sol.nodes[1] - sol.nodes[0]
+        k = sol.epsilon / (h * h)
+        m = sol.nodes.size - 2
+        op = (
+            np.diag(2.0 * k + three_species.derivative(sol.values[1:-1]))
+            - k * np.eye(m, k=1)
+            - k * np.eye(m, k=-1)
+        )
+        # v0 = eta*(4 v1 - v2)/(2h + 3 eta) enters row 1 through -k*v0; mirror at the right
+        w = eta / (2.0 * h + 3.0 * eta)
+        op[0, :2] -= k * w * np.array([4.0, -1.0])
+        op[-1, -2:] -= k * w * np.array([-1.0, 4.0])
+        reference = float(np.min(np.real(np.linalg.eigvals(op))))
+        lam = bvp.linearized_smallest_eigenvalue(sol, three_species)
+        assert lam == pytest.approx(reference, rel=1e-10)
 
     def test_richardson_refinement(self):
         lams = []

@@ -36,6 +36,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             cli.parse_config({"branch": "C"}, "solve")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "--epsilon", "nan"],
+            ["solve", "--eta", "nan"],
+            ["solve", "--n-nodes", "3"],
+            ["current", "--d1", "0"],
+            ["current", "--d2", "inf"],
+            ["current", "--d3", "-1"],
+            ["current", "--species", "four", "--g2", "1", "--z2", "25",
+             "--rho0", "-0.3", "--d4", "nan"],
+            ["current", "--charge-scale", "0"],
+        ],
+        ids=["epsilon", "eta", "n_nodes", "d1", "d2", "d3", "d4", "charge_scale"],
+    )
+    def test_bad_numbers_are_configuration_errors(self, args, capsys):
+        code, _, err = invoke(args + ["--g", "1", "--z", "40"], capsys)
+        assert code == 2
+        assert "configuration error" in err
+
     def test_background_sign_rules(self):
         with pytest.raises(ConfigError):
             cli.parse_config({"rho0": 0.0, "g": 1, "z": 40}, "solve")
