@@ -23,7 +23,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError, SubcriticalError, SupercriticalError
+from .errors import BranchMismatchError, DomainError, NonconvergenceError
+from .errors import SubcriticalError, SupercriticalError
 
 __all__ = [
     "TwoSpeciesParams",
@@ -52,6 +53,8 @@ _SEGMENTS = ("A1", "A2", "B1", "B2")
 _ENDPOINT_SLACK = 1e-12
 
 _BRENTQ_RTOL = 4 * np.finfo(float).eps
+
+_INVERSE_ITERS = 120  # segment inverse cap; a typical element needs 6
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,7 @@ def _decay(sigma, params):
     return np.exp(-(params.g + params.z) * sigma)
 
 
-def _sqrt_disc(sigma, params, clamp=True):
+def _sqrt_disc(sigma, params):
     """sqrt(sigma^2 - 4*exp(-(g+z)*sigma)) = |c1 - c2|, with a roundoff clamp.
 
     Negative discriminants within relative slack of zero are treated as
@@ -202,7 +205,7 @@ def _sqrt_disc(sigma, params, clamp=True):
     bad = d < 0.0
     if np.any(bad):
         sz = sigma_z(params)
-        if clamp and np.all(sigma[bad] >= sz * (1.0 - _ENDPOINT_SLACK)):
+        if np.all(sigma[bad] >= sz * (1.0 - _ENDPOINT_SLACK)):
             d = np.where(bad, 0.0, d)
         else:
             raise DomainError(
@@ -292,40 +295,59 @@ def _dphi_a(sigma, params):
 def _invert_monotone(target, params, lo, hi, increasing):
     """Solve phi_A(sigma) = target for sigma on [lo, hi], elementwise.
 
-    Safeguarded Newton on a per-element bracket: Newton steps are taken
-    from the current midpoint and fall back to bisection whenever they
-    leave the bracket or the slope degenerates (near the turning point).
-    The branch potential is monotone on each segment so the bracket
-    shrinks unconditionally.
+    hi=None grows a common upper end lo + 1, lo + 2, lo + 4, ... until
+    phi_A reaches every target; DomainError if phi_A turns non-finite
+    first.  Safeguarded Newton on per-element brackets, bisecting where a
+    step leaves the bracket.  An element is done once its bracket is at
+    most tol = 1e-14*max(1, hi) wide, or its Newton step stays in the
+    bracket (ends included) and moves at most tol, or |phi_A - target| is
+    at the rounding level 8*eps*(g+z)*max(1, sigma)/q of phi_A's terms
+    (their cancellation at g = 0, large sigma, can defeat the other two).
+    NonconvergenceError if any element is not done in _INVERSE_ITERS.
     """
     target = np.asarray(target, dtype=float)
-    lo = np.full(target.shape, lo, dtype=float)
-    hi = np.full(target.shape, hi, dtype=float)
+    if hi is None:
+        top, hi = float(np.max(target)), lo + 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while _phi_a(hi, params) < top:
+                hi = lo + 2.0 * (hi - lo)
+            if not np.isfinite(_phi_a(hi, params)):
+                raise DomainError("potential %.17g beyond phi_A's float range" % top)
+    shape, target = target.shape, target.ravel()
+    out, todo = np.empty(target.size), np.arange(target.size)
+    lo, hi = (np.full(target.size, end, dtype=float) for end in (lo, hi))
     x = 0.5 * (lo + hi)
     sgn = 1.0 if increasing else -1.0
-    for _ in range(120):
-        f = sgn * (_phi_a(x, params) - target)
-        below = f < 0.0
+    rounding = 8.0 * np.finfo(float).eps * (params.g + params.z) / params.q
+    for _ in range(_INVERSE_ITERS):
+        resid = _phi_a(x, params) - target
+        below = sgn * resid < 0.0
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = x - f / (sgn * _dphi_a(x, params))
-        mid = 0.5 * (lo + hi)
-        good = np.isfinite(step) & (step > lo) & (step < hi)
-        x = np.where(good, step, mid)
-        width = hi - lo
-        if np.all(width <= 1e-14 * np.maximum(1.0, hi)):
-            break
-    return x
+            step = x - resid / _dphi_a(x, params)
+        tol = 1e-14 * np.maximum(1.0, hi)
+        settled = (step >= lo) & (step <= hi) & (np.abs(step - x) <= tol)
+        level = np.abs(resid) <= rounding * np.maximum(1.0, x)
+        inside = (step > lo) & (step < hi)  # False for nan and inf steps
+        x = np.where(settled | inside, step, np.where(level, x, 0.5 * (lo + hi)))
+        done = settled | level | (hi - lo <= tol)
+        out[todo[done]] = x[done]
+        todo, target, lo, hi, x = (a[~done] for a in (todo, target, lo, hi, x))
+        if not todo.size:
+            return out.reshape(shape)
+    raise NonconvergenceError("segment inverse: %d of %d potentials unconverged"
+                              % (todo.size, out.size))
 
 
 def _clamp_to(value, lo, hi, scale):
-    """Clamp values within roundoff slack of [lo, hi]; DomainError beyond."""
+    """Clamp values within roundoff slack of [lo, hi]; BranchMismatchError beyond."""
     slack = _ENDPOINT_SLACK * max(1.0, abs(scale))
     value = np.asarray(value, dtype=float)
     if np.any(value < lo - slack) or np.any(value > hi + slack):
-        raise DomainError(
-            "potential outside the segment range [%.17g, %.17g]" % (lo, hi)
+        raise BranchMismatchError(
+            "potential outside the segment range [%.17g, %.17g] (of -phi on "
+            "B segments)" % (lo, hi)
         )
     return np.clip(value, lo, hi)
 
@@ -354,8 +376,10 @@ def inverse_sigma(phi, params, segment):
 
     The B segments reuse the A inverses at -phi (the two branch
     potentials are mirror images).  Arguments within roundoff slack of a
-    domain endpoint are clamped onto it; anything further out raises
-    DomainError.
+    segment end are clamped onto it; anything further out, such as a
+    potential past phi_crit on the wrong side of an outer segment, raises
+    BranchMismatchError (a DomainError).  Solved, and failing, as
+    _invert_monotone does.
     """
     _check_segment(segment)
     phi = _finite_potentials(phi)
@@ -364,25 +388,16 @@ def inverse_sigma(phi, params, segment):
 
     sc = sigma_c(params)  # raises SubcriticalError when no turning point
     pac = phi_crit(params)
-    scalar = phi.ndim == 0
-
     if segment == "A2":
         phi = _clamp_to(phi, -pac, 0.0, pac)
         out = _invert_monotone(phi, params, sigma_z(params), sc, increasing=False)
     else:
-        if np.any(phi < -pac - _ENDPOINT_SLACK * max(1.0, pac)):
-            raise DomainError("potential below the segment minimum -phi_crit")
-        phi = np.maximum(phi, -pac)
-        hi = sc + 1.0
-        top = float(np.max(phi))
-        while _phi_a(hi, params) < top:
-            hi = sc + 2.0 * (hi - sc)
-        out = _invert_monotone(phi, params, sc, hi, increasing=True)
-        # the inverse has infinite slope at the turning point; pin the
-        # endpoint exactly instead of trusting the last bisection step
-        out = np.where(phi == -pac, sc, out)
-
-    return float(out) if scalar else out
+        phi = _clamp_to(phi, -pac, np.inf, pac)
+        out = _invert_monotone(phi, params, sc, None, increasing=True)
+    # both segments end at the turning point, where the inverse has
+    # infinite slope; pin that end exactly instead of trusting the iterate
+    out = np.where(phi == -pac, sc, out)
+    return out if out.ndim else float(out)
 
 
 def unified_sigma(phi, params):
@@ -391,7 +406,7 @@ def unified_sigma(phi, params):
     Defined for 0 < z <= g_crit(g): positive potentials land on branch
     A, negative on branch B, phi = 0 at sigma_z.  Raises
     SupercriticalError when z > g_crit(g), where the inverse is no
-    longer single-valued.
+    longer single-valued.  Solved, and failing, as _invert_monotone does.
     """
     if params.z > g_crit(params.g):
         raise SupercriticalError(
@@ -400,15 +415,8 @@ def unified_sigma(phi, params):
     if params.z <= 0.0:
         raise DomainError("unified inverse requires z > 0")
     phi = _finite_potentials(phi)
-    scalar = phi.ndim == 0
-    sz = sigma_z(params)
-    mag = np.abs(phi)
-    hi = sz + 1.0
-    top = float(np.max(mag))
-    while _phi_a(hi, params) < top:
-        hi = sz + 2.0 * (hi - sz)
-    out = _invert_monotone(mag, params, sz, hi, increasing=True)
-    return float(out) if scalar else out
+    out = _invert_monotone(np.abs(phi), params, sigma_z(params), None, increasing=True)
+    return out if out.ndim else float(out)
 
 
 def c_diff_on_segment(phi, params, segment):

@@ -132,8 +132,14 @@ def parse_config(raw, mode):
             raise ConfigError("%s must be a positive finite number" % name)
     if not (math.isfinite(cfg["eta"]) and cfg["eta"] >= 0):
         raise ConfigError("eta must be a nonnegative finite number")
-    if cfg["n_nodes"] is not None and cfg["n_nodes"] < 5:
-        raise ConfigError("n_nodes must be at least 5")
+    for name in ("x1", "x2", "sigma_max", "phi0_left", "phi0_right"):
+        if cfg[name] is not None and not math.isfinite(cfg[name]):
+            raise ConfigError("%s must be a finite number" % name)
+    if not -1.0 <= cfg["x1"] <= cfg["x2"] <= 1.0:
+        raise ConfigError("window must satisfy -1 <= x1 <= x2 <= 1")
+    for name, least in (("n_nodes", 5), ("n_sigma", 1)):
+        if cfg[name] is not None and cfg[name] < least:
+            raise ConfigError("%s must be at least %d" % (name, least))
     if mode in ("solve", "current"):
         if cfg["species"] == "three" and cfg["rho0"] <= 0:
             raise ConfigError(

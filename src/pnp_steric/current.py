@@ -29,7 +29,6 @@ from scipy.integrate import simpson
 from . import branch, rhs
 from .errors import (
     BoundsError,
-    BranchMismatchError,
     ConsistencyError,
     DomainError,
     EndpointSingularityWarning,
@@ -77,14 +76,17 @@ class CurrentProfile:
 
 
 def grid_derivative(x, y):
-    """Second-order derivative on a uniform grid (one-sided at the ends)."""
+    """Second-order derivative on a uniform grid (one-sided at the ends).
+
+    The end stencils are written in differences: constants give exactly 0.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     h = x[1] - x[0]
     d = np.empty_like(y)
     d[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
-    d[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
+    d[0] = (3.0 * (y[1] - y[0]) - (y[2] - y[1])) / (2.0 * h)
+    d[-1] = (3.0 * (y[-1] - y[-2]) - (y[-2] - y[-3])) / (2.0 * h)
     return d
 
 
@@ -118,25 +120,6 @@ def _pair_current_factor(sigma, pair, d_small_label, branch_label):
     )
 
 
-def _segment_sigmas(phi, pair, branch_label):
-    """Map potentials through the outer segment of the requested branch."""
-    segment = branch_label + "1"
-    pac = branch.phi_crit(pair)
-    slack = 1e-12 * max(1.0, pac)
-    phi = np.asarray(phi, dtype=float)
-    if branch_label == "A":
-        if np.any(phi < -pac - slack):
-            raise BranchMismatchError(
-                "profile leaves the A-branch segment (phi < -phi_crit)"
-            )
-    else:
-        if np.any(phi > pac + slack):
-            raise BranchMismatchError(
-                "profile leaves the B-branch segment (phi > +phi_crit)"
-            )
-    return branch.inverse_sigma(phi, pair, segment)
-
-
 def _pair_diffusions(diffusion, n_pairs):
     """Diffusion coefficient pairs (D1, D2) of each steric pair, in order."""
     d = diffusion.coefficients
@@ -159,7 +142,7 @@ def pointwise_current(solution, config, diffusion, label):
     d_pairs = _pair_diffusions(diffusion, len(pairs))
     total = 0.0
     for (pair, lab), d_pair in zip(pairs, d_pairs):
-        sig = _segment_sigmas(phi, pair, lab)
+        sig = branch.inverse_sigma(phi, pair, lab + "1")
         total = total + pair.q * _pair_current_factor(sig, pair, d_pair, lab)
     values = total * diffusion.charge_scale * grid_derivative(x, phi)
     return CurrentProfile(x, values)
@@ -178,13 +161,15 @@ def integral_current_x(profile, x1, x2):
     """Integrate a pointwise current profile over [x1, x2] on its grid.
 
     Composite Simpson quadrature over the grid nodes inside the window,
-    with linearly interpolated values at the window endpoints.
+    with linearly interpolated values at the window endpoints; nodes
+    within 1e-9*h of an endpoint are dropped, leaving no sliver panel.
     """
     _check_window(x1, x2)
     if x1 == x2:
         return 0.0
     x, v = profile.nodes, profile.values
-    inside = (x > x1) & (x < x2)
+    gap = 1e-9 * abs(x[1] - x[0])
+    inside = (x > x1 + gap) & (x < x2 - gap)
     xs = np.concatenate(([x1], x[inside], [x2]))
     vs = np.concatenate(
         ([np.interp(x1, x, v)], v[inside], [np.interp(x2, x, v)])
@@ -249,8 +234,8 @@ def integral_current_sigma(solution, config, diffusion, label, x1, x2):
     p1, p2 = _window_potentials(solution, x1, x2)
     total = 0.0
     for (pair, lab), d_pair in zip(pairs, d_pairs):
-        s1 = float(_segment_sigmas(p1, pair, lab))
-        s2 = float(_segment_sigmas(p2, pair, lab))
+        s1 = float(branch.inverse_sigma(p1, pair, lab + "1"))
+        s2 = float(branch.inverse_sigma(p2, pair, lab + "1"))
         for s in (s1, s2):
             _warn_if_on_turning_point(s, pair)
         integrand = _sigma_integrand(pair, d_pair, lab)

@@ -45,7 +45,7 @@ class RootPresentError(PnpStericError, ValueError):
     """Right-hand side has a sign change, violating the probe hypothesis."""
 
 
-class BranchMismatchError(PnpStericError, ValueError):
+class BranchMismatchError(DomainError):
     """Potential profile leaves the domain of the requested segment."""
 
 

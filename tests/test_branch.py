@@ -4,11 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import lambertw
 
 import pnp_steric as ps
 from pnp_steric import branch
-from pnp_steric.errors import DomainError, SubcriticalError, SupercriticalError
+from pnp_steric.errors import (
+    BranchMismatchError,
+    DomainError,
+    NonconvergenceError,
+    SubcriticalError,
+    SupercriticalError,
+)
 
 from oracles import bisect, central_difference, newton_pair_solution
 
@@ -242,6 +250,67 @@ class TestInverses:
     def test_non_finite_potential_rejected(self, invert, phi):
         with pytest.raises(DomainError):
             invert(phi)
+
+    @pytest.mark.parametrize(
+        "invert",
+        [
+            lambda: ps.inverse_sigma(22.5, pair(0, 5.436563656918089, 3), "A1"),
+            lambda: ps.unified_sigma(22.5, pair(0, 2, 3)),
+        ],
+        ids=["A1", "unified"],
+    )
+    def test_potential_beyond_float_range_rejected(self, invert):
+        # phi_A at g = 0 rounds to 0 for large sigma and is nan once
+        # sigma^2 overflows, so no float sigma reaches phi = 22.5
+        with pytest.raises(DomainError):
+            invert()
+
+    def test_beyond_outer_segment_end_is_branch_mismatch(self):
+        p = pair(1, 20)
+        pac = ps.phi_crit(p)
+        with pytest.raises(BranchMismatchError):
+            ps.inverse_sigma([0.0, -pac - 1e-3], p, "A1")
+        with pytest.raises(BranchMismatchError):
+            ps.inverse_sigma([0.0, pac + 1e-3], p, "B1")
+        assert issubclass(BranchMismatchError, DomainError)
+
+    def test_unconverged_inverse_raises(self, monkeypatch):
+        monkeypatch.setattr(branch, "_INVERSE_ITERS", 3)
+        with pytest.raises(NonconvergenceError):
+            ps.inverse_sigma(np.linspace(-0.5, 2.0, 50), pair(1, 20), "A1")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    g=st.floats(0.0, 3.0),
+    z_factor=st.floats(1.05, 20.0),
+    q=st.sampled_from([1.0, 2.0, 3.0]),
+    segment=st.sampled_from(["A1", "A2", "B1", "B2"]),
+    u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+)
+def test_inverse_property(g, z_factor, q, segment, u):
+    """Potentials across a closed segment (A1/B1 cut 10 past phi_crit)
+    invert into the segment's sigma range, with a round-trip residual at
+    the rounding level of phi's terms away from the ends."""
+    p = pair(g, z_factor * ps.g_crit(g), q)
+    sz, sc, pac = ps.sigma_z(p), ps.sigma_c(p), ps.phi_crit(p)
+    lo, hi = {
+        "A1": (-pac, pac + 10.0),
+        "A2": (-pac, 0.0),
+        "B1": (-pac - 10.0, pac),
+        "B2": (0.0, pac),
+    }[segment]
+    u = np.array(u)
+    phi = lo + u * (hi - lo)
+    sig = ps.inverse_sigma(phi, p, segment)
+    if segment.endswith("1"):
+        assert np.all(sig >= sc)
+    else:
+        assert np.all((sig >= sz) & (sig <= sc))
+    interior = (u > 1e-3) & (u < 1.0 - 1e-3)
+    back = ps.phi_on_branch(sig[interior], p, segment[0])
+    scale = np.maximum(1.0, (g + p.z) * sig[interior] / q)
+    assert np.all(np.abs(back - phi[interior]) <= 1e-11 * scale)
 
 
 class TestSegmentComposition:

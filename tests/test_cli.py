@@ -48,8 +48,19 @@ class TestParseConfig:
             ["current", "--species", "four", "--g2", "1", "--z2", "25",
              "--rho0", "-0.3", "--d4", "nan"],
             ["current", "--charge-scale", "0"],
+            ["branches", "--n-sigma", "-3"],
+            ["branches", "--n-sigma", "0"],
+            ["branches", "--sigma-max", "nan"],
+            ["current", "--x1", "nan"],
+            ["current", "--x1", "-5"],
+            ["current", "--x2", "inf"],
+            ["current", "--x1", "0.4", "--x2", "0.2"],
+            ["solve", "--phi0-left", "nan"],
+            ["solve", "--phi0-right", "inf"],
         ],
-        ids=["epsilon", "eta", "n_nodes", "d1", "d2", "d3", "d4", "charge_scale"],
+        ids=["epsilon", "eta", "n_nodes", "d1", "d2", "d3", "d4", "charge_scale",
+             "n_sigma_negative", "n_sigma_zero", "sigma_max", "x1_nan",
+             "x1_outside", "x2_inf", "window_order", "phi0_left", "phi0_right"],
     )
     def test_bad_numbers_are_configuration_errors(self, args, capsys):
         code, _, err = invoke(args + ["--g", "1", "--z", "40"], capsys)

@@ -45,6 +45,19 @@ class TestPointwise:
         prof = current.pointwise_current_three((x, phi), CONFIG, DIFF, "A")
         assert np.max(np.abs(prof.values)) == 0.0
 
+    def test_constant_profiles_near_the_root_give_exactly_zero(self, solved):
+        fn, _ = solved
+        x = np.linspace(-1, 1, 101)
+        level = fn.root
+        for _ in range(50):
+            level = np.nextafter(level, -np.inf)
+        for _ in range(100):
+            phi = np.full_like(x, level)
+            assert np.all(current.grid_derivative(x, phi) == 0.0)
+            prof = current.pointwise_current((x, phi), CONFIG, DIFF, "A")
+            assert np.all(prof.values == 0.0)
+            level = np.nextafter(level, np.inf)
+
     def test_equal_diffusion_drops_difference_terms(self):
         # with D1 = D2 the (D2-D1)/2 blocks vanish identically
         sig = np.linspace(ps.sigma_c(PAIR) + 0.1, ps.sigma_c(PAIR) + 1.0, 20)
@@ -84,6 +97,20 @@ class TestWindowIntegrals:
         split = current.integral_current_x(prof, -0.8, -0.1)
         split += current.integral_current_x(prof, -0.1, 0.6)
         assert whole == pytest.approx(split, abs=1e-10)
+
+    def test_additivity_under_rounding_noise(self, solved):
+        # at n = 2001 the split point -0.1 lies 2.8e-17 from a grid node
+        _, sol = solved
+        rng = np.random.default_rng(11)
+        noise = [3e-15 * rng.standard_normal(sol.values.size) for _ in range(3)]
+        for dphi in [0.0] + noise:
+            prof = current.pointwise_current(
+                (sol.nodes, sol.values + dphi), CONFIG, DIFF, "A"
+            )
+            whole = current.integral_current_x(prof, -0.8, 0.6)
+            split = current.integral_current_x(prof, -0.8, -0.1)
+            split += current.integral_current_x(prof, -0.1, 0.6)
+            assert abs(whole - split) <= 1e-10
 
     def test_dual_route_agreement(self, solved):
         _, sol = solved
