@@ -55,6 +55,7 @@ _ENDPOINT_SLACK = 1e-12
 _BRENTQ_RTOL = 4 * np.finfo(float).eps
 
 _INVERSE_ITERS = 120  # segment inverse cap; a typical element needs 6
+_CACHE_SIZE = 128  # entries per constant cache; a sweep batch uses ~24 pairs
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ def _check_segment(segment):
         raise DomainError("segment must be one of %r, got %r" % (_SEGMENTS, segment))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def sigma_z(params):
     """Smallest admissible total concentration of the pair.
 
@@ -127,13 +128,14 @@ def stability_indicator(params):
     """Value of f_z at sigma_z: positive iff the meeting point is stable.
 
     Closed form 4*(1 + g*sigma_z)/sigma_z**2 + g**2 - z**2, which avoids
-    exponentiating (g+z)*sigma_z.
+    exponentiating (g+z)*sigma_z.  sigma_z is computed uncached, so
+    g_crit's probes leave its cache alone.
     """
-    sz = sigma_z(params)
+    sz = sigma_z.__wrapped__(params)
     return 4.0 * (1.0 + params.g * sz) / (sz * sz) + params.g**2 - params.z**2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def g_crit(g):
     """Critical cross-coupling: the z at which the meeting point destabilises.
 
@@ -156,7 +158,7 @@ def g_crit(g):
     return brentq(h, lo, hi, xtol=1e-15, rtol=_BRENTQ_RTOL)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def sigma_c(params):
     """Turning point of the branch potentials, defined for z > g_crit(g).
 

@@ -7,14 +7,16 @@ Solves eps * phi'' = f(phi) on (-1, 1) with Robin data
 
 on a uniform grid with second-order central differences inside and
 second-order one-sided stencils for the boundary derivatives, by damped
-Newton iteration with continuation in eps.  The one-sided stencils reach
-two nodes in, so each Newton step is one banded LU solve with two bands
-on either side of the diagonal.  The companion routines verify the
-qualitative structure the maximum principle forces on the solution:
-classification against the bulk root, pointwise bounds, an exponential
-interior envelope, boundary layer limits, linearised stability (the
-bottom eigenvalue of the symmetrised tridiagonal operator, by
-bisection), and unbounded growth when f has no root.
+Newton iteration at the target eps; f is increasing, so the discrete
+problem has one solution and Newton needs no continuation in eps to
+reach it.  Each Newton step is one banded LU solve with two bands on
+either side of the diagonal (the one-sided stencils reach two nodes
+in).  The companion routines verify the qualitative structure the
+maximum principle forces on the solution: classification against the
+bulk root, pointwise bounds, an exponential interior envelope, boundary
+layer limits, linearised stability (the bottom eigenvalue of the
+symmetrised tridiagonal operator, by bisection), and unbounded growth
+when f has no root.
 """
 
 import math
@@ -49,13 +51,16 @@ __all__ = [
 
 _NEWTON_MAX_ITER = 200
 _DAMPING_FLOOR = 2.0**-20
-_CONTINUATION_THRESHOLD = 1e-4
 _MAX_CONSECUTIVE_CLAMPS = 5
 
 
 @dataclass(frozen=True)
 class RobinBC:
-    """Robin boundary data; eta = 0 reduces to Dirichlet conditions."""
+    """Robin boundary data; eta = 0 reduces to Dirichlet conditions.
+
+    Large eta is the Neumann limit phi' = 0, whose solution is the bulk
+    root: the profile classifies as "constant" whatever the data.
+    """
 
     phi0_left: float
     phi0_right: float
@@ -87,6 +92,8 @@ class BvpProblem:
 
 @dataclass
 class BvpSolution:
+    """Discrete solution; iterations counts the Newton steps of the solve."""
+
     nodes: np.ndarray
     values: np.ndarray
     residual_norm: float
@@ -161,13 +168,13 @@ def _newton(phi, h, eps, rhs, bc, domain, tol):
     finite_lo = math.isfinite(lo)
     finite_hi = math.isfinite(hi)
     clamps = 0
-    macheps = np.finfo(float).eps
+    # The central-difference rows amplify rounding by eps/h^2 and the Robin
+    # rows by eta/h; below that floor the residual is pure noise.
+    noise = 50.0 * np.finfo(float).eps * max(eps / (h * h), bc.eta / h)
     res = _residual(phi, h, eps, rhs, bc)
     norm = float(np.max(np.abs(res)))
     for it in range(1, _NEWTON_MAX_ITER + 1):
-        # The central-difference operator amplifies rounding by eps/h^2;
-        # below that floor the residual is pure noise.
-        floor = 50.0 * macheps * (eps / (h * h)) * max(1.0, float(np.max(np.abs(phi))))
+        floor = noise * max(1.0, float(np.max(np.abs(phi))))
         if norm <= max(tol, floor):
             return phi, norm, it - 1
         delta = solve_banded((2, 2), _jacobian(phi, h, eps, rhs, bc), -res)
@@ -202,10 +209,10 @@ def _newton(phi, h, eps, rhs, bc, domain, tol):
 def solve(problem, initial=None):
     """Solve the boundary value problem; returns a BvpSolution.
 
-    Continuation in eps (halving from 1e-4 down to the target) keeps the
-    damped Newton iteration in the basin for strongly layered problems.
-    The initial guess defaults to the bulk root (or the linear
-    interpolant of the boundary data when the right-hand side has none).
+    One damped Newton iteration at the target eps, on the grid of
+    default_grid_size unless n_nodes is given.  The initial guess
+    defaults to the bulk root (or the linear interpolant of the boundary
+    data when the right-hand side has none).
     """
     rhs, bc, eps = problem.rhs, problem.bc, problem.epsilon
     lo, hi = rhs.domain
@@ -238,19 +245,10 @@ def solve(problem, initial=None):
     )
     tol = 1e-10 * fscale
 
-    if eps < _CONTINUATION_THRESHOLD:
-        k = math.ceil(math.log2(_CONTINUATION_THRESHOLD / eps))
-        chain = [eps * 2.0**j for j in range(k, -1, -1)]
-    else:
-        chain = [eps]
-
-    total_iters = 0
-    for eps_k in chain:
-        phi, norm, iters = _newton(phi, h, eps_k, rhs, bc, (lo, hi), tol)
-        total_iters += iters
+    phi, norm, iters = _newton(phi, h, eps, rhs, bc, (lo, hi), tol)
 
     root = getattr(rhs, "root", None)
-    sol = BvpSolution(nodes, phi, norm, total_iters, "", eps, bc)
+    sol = BvpSolution(nodes, phi, norm, iters, "", eps, bc)
     sol.classification = classify_solution(sol, root)
     return sol
 

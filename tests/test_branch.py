@@ -106,6 +106,27 @@ class TestSigmaC:
         assert abs(1 + p.g * sc + (p.g**2 - p.z**2) * E) < 1e-12
 
 
+class TestConstantCaches:
+    CACHED = (branch.sigma_z, branch.g_crit, branch.sigma_c)
+
+    def test_g_crit_probes_leave_sigma_z_cache_alone(self):
+        before = branch.sigma_z.cache_info()
+        ps.g_crit(0.7318249)
+        after = branch.sigma_z.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+    def test_fresh_pairs_stay_within_maxsize(self):
+        size = max(fn.cache_info().maxsize for fn in self.CACHED)
+        for k in range(2 * size):
+            p = pair(0.3 + 1e-4 * k, 30.0 + 1e-3 * k)
+            ps.sigma_c(p)
+            ps.sigma_z(p)
+        for fn in self.CACHED:
+            info = fn.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize <= info.maxsize
+
+
 class TestBranchValues:
     def test_phi_example_value(self):
         # g=0, z=1, q=1, sigma=2: ln(1+sqrt(1-e^-2)) + 1 - sqrt(1-e^-2)

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import pnp_steric as ps
 from pnp_steric import bvp
 from pnp_steric.errors import (
     DomainError,
     InconsistentProfileError,
+    PnpStericError,
     RootPresentError,
     SignError,
 )
@@ -130,10 +133,78 @@ class TestSolve:
             ) / (2.0 * step)
         assert np.max(np.abs(dense - fd)) <= 1e-7 * np.max(np.abs(fd))
 
+    def test_data_near_the_domain_ends_solve(self):
+        cfg = ps.ThreeSpeciesConfig(ps.TwoSpeciesParams(0.5, 10.0, 2.0), 1.0, 0.5)
+        fn = ps.assemble_three_species(cfg, "A")
+        lo, hi = fn.domain
+        c = fn.root
+        bc = bvp.RobinBC(c + 0.97 * (hi - c), c - 0.97 * (c - lo))
+        sol = bvp.solve(bvp.BvpProblem(1e-5, fn, bc))
+        assert sol.classification == "decreasing"
+        assert bvp.bounds_check(sol, c)["satisfied"]
+
+    def test_deep_layer_takes_a_few_newton_steps(self):
+        cfg = ps.ThreeSpeciesConfig(ps.TwoSpeciesParams(1.0, 40.0, 1.0), 1.0, 0.5)
+        fn = ps.assemble_three_species(cfg, "A")
+        c = fn.root
+        sol = bvp.solve(bvp.BvpProblem(1e-6, fn, bvp.RobinBC(c + 0.15, c - 0.10)))
+        assert sol.classification == "decreasing"
+        assert sol.iterations <= 5
+
+    def test_large_eta_is_the_neumann_limit(self):
+        # Robin rows carry rounding of order macheps*eta/h; the stopping
+        # floor must cover it or Newton stalls just above the tolerance.
+        cfg = ps.ThreeSpeciesConfig(ps.TwoSpeciesParams(1.0, 40.0, 1.0), 1.0, 0.5)
+        fn = ps.assemble_three_species(cfg, "A")
+        c = fn.root
+        bc = bvp.RobinBC(c + 0.15, c - 0.10, 1e6)
+        sol = bvp.solve(bvp.BvpProblem(1e-3, fn, bc))
+        assert sol.classification == "constant"
+        assert np.max(np.abs(sol.values - c)) <= 1e-8
+
     def test_grid_rule(self):
         assert bvp.default_grid_size(1.0, 0.0) == 201
         assert bvp.default_grid_size(1e-4, 1.0) == 2000
         assert bvp.default_grid_size(1e-2, 1.0) == 201
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    g=st.floats(0.0, 2.0),
+    z_factor=st.floats(1.5, 20.0),
+    q=st.sampled_from([1.0, 2.0]),
+    z3=st.sampled_from([1.0, 2.0]),
+    rho0=st.floats(0.2, 1.5),
+    label=st.sampled_from(["A", "B"]),
+    log_eps=st.floats(math.log(1e-6), math.log(1e-2)),
+    left=st.floats(0.02, 0.97).flatmap(lambda u: st.sampled_from([u, -u])),
+    right=st.floats(0.02, 0.97).flatmap(lambda u: st.sampled_from([u, -u])),
+    robin=st.booleans(),
+)
+def test_solve_property(g, z_factor, q, z3, rho0, label, log_eps, left, right, robin):
+    """Every solve converges inside the maximum-principle bounds with the
+    shape its data force: monotone when they straddle the bulk root, one
+    interior extremum when they sit on one side of it."""
+    pair = ps.TwoSpeciesParams(g, z_factor * ps.g_crit(g), q)
+    try:
+        fn = ps.assemble_three_species(ps.ThreeSpeciesConfig(pair, z3, rho0), label)
+    except PnpStericError:
+        assume(False)
+    lo, hi = fn.domain
+    c = fn.root
+
+    def datum(u):
+        return c + u * (hi - c) if u > 0 else c + u * (c - lo)
+
+    eps = math.exp(log_eps)
+    bc = bvp.RobinBC(datum(left), datum(right), math.sqrt(eps) if robin else 0.0)
+    sol = bvp.solve(bvp.BvpProblem(eps, fn, bc))
+    assert bvp.bounds_check(sol, c)["satisfied"]
+    if left * right < 0:
+        expected = "decreasing" if left > 0 else "increasing"
+    else:
+        expected = "interior-min" if left > 0 else "interior-max"
+    assert sol.classification == expected
 
 
 class TestClassification:
