@@ -20,6 +20,7 @@ from .branch import (
     CriticalSet,
     TwoSpeciesParams,
     c_diff,
+    c_diff_and_slope_on_segment,
     c_diff_on_segment,
     c_diff_segment_derivative,
     concentrations,

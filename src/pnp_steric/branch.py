@@ -40,6 +40,7 @@ __all__ = [
     "stability_indicator",
     "inverse_sigma",
     "unified_sigma",
+    "c_diff_and_slope_on_segment",
     "c_diff_on_segment",
     "c_diff_segment_derivative",
     "critical_set",
@@ -196,14 +197,16 @@ def _decay(sigma, params):
     return np.exp(-(params.g + params.z) * sigma)
 
 
-def _sqrt_disc(sigma, params):
-    """sqrt(sigma^2 - 4*exp(-(g+z)*sigma)) = |c1 - c2|, with a roundoff clamp.
+def _decay_and_disc(sigma, params):
+    """(E, s): E = exp(-(g+z)*sigma) = c1*c2 and s = |c1 - c2|, one exp.
 
-    Negative discriminants within relative slack of zero are treated as
-    sitting on sigma_z; genuinely subthreshold sigma raises DomainError.
+    s = sqrt(sigma^2 - 4*E), with a roundoff clamp: negative
+    discriminants within relative slack of zero are treated as sitting
+    on sigma_z; genuinely subthreshold sigma raises DomainError.
     """
     sigma = np.asarray(sigma, dtype=float)
-    d = sigma * sigma - 4.0 * _decay(sigma, params)
+    E = _decay(sigma, params)
+    d = sigma * sigma - 4.0 * E
     bad = d < 0.0
     if np.any(bad):
         sz = sigma_z(params)
@@ -213,7 +216,12 @@ def _sqrt_disc(sigma, params):
             raise DomainError(
                 "sigma below the admissible threshold sigma_z=%.17g" % sz
             )
-    return np.sqrt(d)
+    return E, np.sqrt(d)
+
+
+def _sqrt_disc(sigma, params):
+    """sqrt(sigma^2 - 4*exp(-(g+z)*sigma)) = |c1 - c2| (see _decay_and_disc)."""
+    return _decay_and_disc(sigma, params)[1]
 
 
 def concentrations(sigma, params, branch):
@@ -278,20 +286,40 @@ def dphi_dsigma(sigma, params, branch):
     return out if out.ndim else float(out)
 
 
-def _phi_a(sigma, params):
-    """phi on branch A without the branch-name dispatch (array friendly)."""
+def _phi_a(sigma, params, s=None):
+    """phi on branch A without the branch-name dispatch (array friendly).
+
+    s is |c1 - c2| at sigma when the caller already has it.
+    """
     g, z, q = params.g, params.z, params.q
-    s = _sqrt_disc(sigma, params)
+    if s is None:
+        s = _sqrt_disc(sigma, params)
     return (np.log(0.5 * (sigma + s)) + 0.5 * (g + z) * sigma + 0.5 * (g - z) * s) / q
 
 
-def _dphi_a(sigma, params):
-    """d(phi_A)/d(sigma) with the singular 1/s left to the caller's care."""
+def _dphi_a(sigma, params, E=None, s=None):
+    """d(phi_A)/d(sigma) with the singular 1/s left to the caller's care.
+
+    E and s are _decay_and_disc(sigma) when the caller already has them.
+    """
     g, z, q = params.g, params.z, params.q
-    s = _sqrt_disc(sigma, params)
-    tilde = 1.0 + g * sigma + (g * g - z * z) * _decay(sigma, params)
+    if s is None:
+        E, s = _decay_and_disc(sigma, params)
+    tilde = 1.0 + g * sigma + (g * g - z * z) * E
     with np.errstate(divide="ignore"):
         return tilde / (q * s)
+
+
+def _phi_a_and_slope(sigma, params):
+    """phi_A and d(phi_A)/d(sigma) from one exp and one sqrt.
+
+    A 0/0 slope comes back as nan, silently, for the caller's bracket
+    logic to reject.
+    """
+    E, s = _decay_and_disc(sigma, params)
+    with np.errstate(invalid="ignore"):
+        slope = _dphi_a(sigma, params, E, s)
+    return _phi_a(sigma, params, s), slope
 
 
 def _invert_monotone(target, params, lo, hi, increasing):
@@ -322,12 +350,13 @@ def _invert_monotone(target, params, lo, hi, increasing):
     sgn = 1.0 if increasing else -1.0
     rounding = 8.0 * np.finfo(float).eps * (params.g + params.z) / params.q
     for _ in range(_INVERSE_ITERS):
-        resid = _phi_a(x, params) - target
+        phi, slope = _phi_a_and_slope(x, params)
+        resid = phi - target
         below = sgn * resid < 0.0
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = x - resid / _dphi_a(x, params)
+            step = x - resid / slope
         tol = 1e-14 * np.maximum(1.0, hi)
         settled = (step >= lo) & (step <= hi) & (np.abs(step - x) <= tol)
         level = np.abs(resid) <= rounding * np.maximum(1.0, x)
@@ -421,6 +450,27 @@ def unified_sigma(phi, params):
     return out if out.ndim else float(out)
 
 
+def c_diff_and_slope_on_segment(phi, params, segment):
+    """(c1 - c2, its derivative in phi) on "A1" or "B1", from one inversion.
+
+    The difference is +s on "A1" and -s on "B1"; its derivative on both
+    is the closed form q*(sigma + 2*(g+z)*E) / f_tilde at sigma(phi)
+    (the sign flips of the difference and of the inverse cancel, so the
+    composition is increasing on either segment).  f_tilde vanishes at
+    the turning point, where the derivative is +inf.  Only these outer
+    segments enter the reduced Poisson equation.
+    """
+    if segment not in ("A1", "B1"):
+        raise DomainError("segment must be 'A1' or 'B1', got %r" % (segment,))
+    g, z, q = params.g, params.z, params.q
+    sig = np.asarray(inverse_sigma(phi, params, segment), dtype=float)
+    E, s = _decay_and_disc(sig, params)
+    tilde = 1.0 + g * sig + (g * g - z * z) * E
+    with np.errstate(divide="ignore"):
+        slope = q * (sig + 2.0 * (g + z) * E) / tilde
+    return (s if segment == "A1" else -s), (slope if slope.ndim else float(slope))
+
+
 def c_diff_on_segment(phi, params, segment):
     """Concentration difference c1 - c2 composed with a segment inverse.
 
@@ -428,27 +478,15 @@ def c_diff_on_segment(phi, params, segment):
     "B1" (difference -s, also increasing in phi) are meaningful here;
     they are the branches entering the reduced Poisson equation.
     """
-    if segment not in ("A1", "B1"):
-        raise DomainError("segment must be 'A1' or 'B1', got %r" % (segment,))
-    sig = inverse_sigma(phi, params, segment)
-    return c_diff(sig, params, segment[0])
+    return c_diff_and_slope_on_segment(phi, params, segment)[0]
 
 
 def c_diff_segment_derivative(phi, params, segment):
     """d/dphi of the composed concentration difference on "A1" or "B1".
 
-    Both segments share the closed form q*(sigma + 2*(g+z)*E) / f_tilde
-    evaluated at sigma(phi): the sign flips of the difference and of the
-    inverse cancel, so the composition is increasing on either segment.
+    See c_diff_and_slope_on_segment for the closed form.
     """
-    if segment not in ("A1", "B1"):
-        raise DomainError("segment must be 'A1' or 'B1', got %r" % (segment,))
-    g, z, q = params.g, params.z, params.q
-    sig = np.asarray(inverse_sigma(phi, params, segment), dtype=float)
-    E = _decay(sig, params)
-    tilde = 1.0 + g * sig + (g * g - z * z) * E
-    out = q * (sig + 2.0 * (g + z) * E) / tilde
-    return out if out.ndim else float(out)
+    return c_diff_and_slope_on_segment(phi, params, segment)[1]
 
 
 def critical_set(params):

@@ -11,12 +11,14 @@ Newton iteration at the target eps; f is increasing, so the discrete
 problem has one solution and Newton needs no continuation in eps to
 reach it.  Each Newton step is one banded LU solve with two bands on
 either side of the diagonal (the one-sided stencils reach two nodes
-in).  The companion routines verify the qualitative structure the
-maximum principle forces on the solution: classification against the
-bulk root, pointwise bounds, an exponential interior envelope, boundary
-layer limits, linearised stability (the bottom eigenvalue of the
-symmetrised tridiagonal operator, by bisection), and unbounded growth
-when f has no root.
+in) and one segment inversion per steric pair: each residual
+evaluation takes f and f' together, and the Jacobian reuses the f' of
+the accepted iterate.  The companion routines verify the qualitative
+structure the maximum principle forces on the solution: classification
+against the bulk root, pointwise bounds, an exponential interior
+envelope, boundary layer limits, linearised stability (the bottom
+eigenvalue of the symmetrised tridiagonal operator, by bisection), and
+unbounded growth when f has no root.
 """
 
 import math
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -128,9 +131,10 @@ def _min_derivative(rhs, lo, hi, n=401):
     return float(np.min(rhs.derivative(pts)))
 
 
-def _residual(phi, h, eps, rhs, bc):
+def _residual_rows(phi, h, eps, f, bc):
+    """Discrete residual, given f at the interior nodes phi[1:-1]."""
     r = np.empty_like(phi)
-    r[1:-1] = eps * (phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) / (h * h) - rhs(phi[1:-1])
+    r[1:-1] = eps * (phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) / (h * h) - f
     two_h = 2.0 * h
     r[0] = (
         phi[0]
@@ -145,15 +149,21 @@ def _residual(phi, h, eps, rhs, bc):
     return r
 
 
-def _jacobian(phi, h, eps, rhs, bc):
-    """Jacobian J of _residual in solve_banded (2, 2) storage: ab[2 + i - j, j] = J[i, j]."""
-    n = phi.size
+def _residual(phi, h, eps, rhs, bc):
+    return _residual_rows(phi, h, eps, rhs(phi[1:-1]), bc)
+
+
+def _banded_jacobian(n, h, eps, fp, bc):
+    """Jacobian J of the residual on n nodes, given f' at the interior ones.
+
+    solve_banded (2, 2) storage: ab[2 + i - j, j] = J[i, j].
+    """
     c = eps / (h * h)
     two_h = 2.0 * h
     ab = np.zeros((5, n))
     ab[1, 1:] = c
     ab[3, :-1] = c
-    ab[2, 1:-1] = -2.0 * c - rhs.derivative(phi[1:-1])
+    ab[2, 1:-1] = -2.0 * c - fp
     ab[2, 0] = 1.0 + 3.0 * bc.eta / two_h
     ab[1, 1] = -4.0 * bc.eta / two_h
     ab[0, 2] = bc.eta / two_h
@@ -163,7 +173,18 @@ def _jacobian(phi, h, eps, rhs, bc):
     return ab
 
 
+def _jacobian(phi, h, eps, rhs, bc):
+    """Jacobian of _residual at phi in solve_banded (2, 2) storage."""
+    return _banded_jacobian(phi.size, h, eps, rhs.derivative(phi[1:-1]), bc)
+
+
 def _newton(phi, h, eps, rhs, bc, domain, tol):
+    """Damped Newton on the residual; returns (phi, residual norm, iterations).
+
+    One segment inversion per Newton step: each evaluation of the
+    residual takes f and f' together (rhs.value_and_derivative), and the
+    Jacobian reuses the f' of the accepted iterate.
+    """
     lo, hi = domain
     finite_lo = math.isfinite(lo)
     finite_hi = math.isfinite(hi)
@@ -171,13 +192,18 @@ def _newton(phi, h, eps, rhs, bc, domain, tol):
     # The central-difference rows amplify rounding by eps/h^2 and the Robin
     # rows by eta/h; below that floor the residual is pure noise.
     noise = 50.0 * np.finfo(float).eps * max(eps / (h * h), bc.eta / h)
-    res = _residual(phi, h, eps, rhs, bc)
+
+    def residual(phi):
+        f, fp = rhs.value_and_derivative(phi[1:-1])
+        return _residual_rows(phi, h, eps, f, bc), fp
+
+    res, fp = residual(phi)
     norm = float(np.max(np.abs(res)))
     for it in range(1, _NEWTON_MAX_ITER + 1):
         floor = noise * max(1.0, float(np.max(np.abs(phi))))
         if norm <= max(tol, floor):
             return phi, norm, it - 1
-        delta = solve_banded((2, 2), _jacobian(phi, h, eps, rhs, bc), -res)
+        delta = solve_banded((2, 2), _banded_jacobian(phi.size, h, eps, fp, bc), -res)
         lam = 1.0
         while True:
             trial = phi + lam * delta
@@ -188,7 +214,7 @@ def _newton(phi, h, eps, rhs, bc, domain, tol):
             if finite_hi and np.any(trial > hi):
                 trial = np.minimum(trial, hi)
                 clipped = True
-            trial_res = _residual(trial, h, eps, rhs, bc)
+            trial_res, trial_fp = residual(trial)
             trial_norm = float(np.max(np.abs(trial_res)))
             if trial_norm <= (1.0 - 1e-4 * lam) * norm or lam <= _DAMPING_FLOOR:
                 break
@@ -199,7 +225,7 @@ def _newton(phi, h, eps, rhs, bc, domain, tol):
                 "Newton iterates pinned to the right-hand side domain "
                 "boundary %d times in a row" % clamps
             )
-        phi, res, norm = trial, trial_res, trial_norm
+        phi, res, fp, norm = trial, trial_res, trial_fp, trial_norm
     raise NonconvergenceError(
         "Newton stalled at residual %.3e (tolerance %.3e) after %d iterations"
         % (norm, tol, _NEWTON_MAX_ITER)
@@ -365,8 +391,6 @@ def boundary_layer_limits(rhs, c, bc, gamma):
             return gamma * (phi0 - s) ** 2 - accumulated
 
         a, b = (c, phi0) if phi0 > c else (phi0, c)
-        from scipy.optimize import brentq
-
         return brentq(mismatch, a, b, xtol=1e-13)
 
     return limit(bc.phi0_left), limit(bc.phi0_right)

@@ -103,6 +103,13 @@ class RhsFunction:
     root : bulk root of f inside the domain (None only for probe
         functions constructed by hand)
     evaluator / derivative : vectorised callables for f and f'
+    combined : optional vectorised callable phi -> (f, f'), cheaper than
+        evaluator and derivative apart (assemble builds both halves from
+        it); None for hand-built probes.  Replacing evaluator/derivative
+        alone leaves combined in charge of value_and_derivative.
+
+    Calling the function, or value_and_derivative, checks phi against
+    the domain (up to roundoff slack) and clips it onto it.
     """
 
     label: str
@@ -110,8 +117,9 @@ class RhsFunction:
     root: float | None
     evaluator: Callable = field(repr=False)
     derivative: Callable = field(repr=False)
+    combined: Callable | None = field(default=None, repr=False)
 
-    def __call__(self, phi):
+    def _in_domain(self, phi):
         lo, hi = self.domain
         phi = np.asarray(phi, dtype=float)
         slack = 1e-12 * max(1.0, abs(lo) if math.isfinite(lo) else 0.0,
@@ -120,7 +128,17 @@ class RhsFunction:
             raise DomainError(
                 "potential outside the right-hand side domain [%g, %g]" % (lo, hi)
             )
-        return self.evaluator(np.clip(phi, lo, hi))
+        return np.clip(phi, lo, hi)
+
+    def __call__(self, phi):
+        return self.evaluator(self._in_domain(phi))
+
+    def value_and_derivative(self, phi):
+        """(f, f') at phi, from one segment inversion per pair when combined is set."""
+        phi = self._in_domain(phi)
+        if self.combined is None:
+            return self.evaluator(phi), self.derivative(phi)
+        return self.combined(phi)
 
 
 def third_species_concentration(phi, z3):
@@ -200,28 +218,30 @@ def assemble(config, label):
                 "segment window [%g, %g] leaves an empty overlap" % (seg_lo, seg_hi)
             )
 
-    def evaluator(phi):
-        total = 0.0
+    def combined(phi):
+        f = fp = 0.0
         for pair, segment in segments:
-            total = total + pair.q * branch.c_diff_on_segment(phi, pair, segment)
+            diff, slope = branch.c_diff_and_slope_on_segment(phi, pair, segment)
+            f = f + pair.q * diff
+            fp = fp + pair.q * slope
         for z in valences:
-            total = total - z * np.exp(-z * phi)
-        return total + background
+            boltzmann = np.exp(-z * phi)
+            f = f - z * boltzmann
+            fp = fp + z * z * boltzmann
+        return f + background, fp
+
+    def evaluator(phi):
+        return combined(phi)[0]
 
     def derivative(phi):
-        total = 0.0
-        for pair, segment in segments:
-            total = total + pair.q * branch.c_diff_segment_derivative(phi, pair, segment)
-        for z in valences:
-            total = total + z * z * np.exp(-z * phi)
-        return total
+        return combined(phi)[1]
 
     root = _locate_root(lambda p: float(evaluator(p)), lo, hi)
     if root is None:
         raise NoIntersectionError(
             "f_%s has no sign change on [%g, %g]" % (label, lo, hi)
         )
-    return RhsFunction(label, (lo, hi), root, evaluator, derivative)
+    return RhsFunction(label, (lo, hi), root, evaluator, derivative, combined)
 
 
 # Configuration-specific names, kept for callers written against them.

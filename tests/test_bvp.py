@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pnp_steric as ps
-from pnp_steric import bvp
+from pnp_steric import branch, bvp
 from pnp_steric.errors import (
     DomainError,
     InconsistentProfileError,
@@ -150,6 +150,25 @@ class TestSolve:
         sol = bvp.solve(bvp.BvpProblem(1e-6, fn, bvp.RobinBC(c + 0.15, c - 0.10)))
         assert sol.classification == "decreasing"
         assert sol.iterations <= 5
+
+    def test_one_segment_inversion_per_newton_step(self, monkeypatch):
+        # f and f' come from one inversion per residual; the Jacobian reuses
+        # the accepted iterate's f' instead of inverting again.  One pair on
+        # A1, so no B -> A recursion is counted twice.
+        cfg = ps.ThreeSpeciesConfig(ps.TwoSpeciesParams(1.0, 40.0, 1.0), 1.0, 0.5)
+        fn = ps.assemble_three_species(cfg, "A")
+        c = fn.root
+        problem = bvp.BvpProblem(1e-6, fn, bvp.RobinBC(c + 0.15, c - 0.10))
+        sizes = []
+        inverse = branch.inverse_sigma
+
+        def counting(phi, *args):
+            sizes.append(np.size(phi))
+            return inverse(phi, *args)
+
+        monkeypatch.setattr(branch, "inverse_sigma", counting)
+        sol = bvp.solve(problem)
+        assert sizes.count(sol.nodes.size - 2) == sol.iterations + 1
 
     def test_large_eta_is_the_neumann_limit(self):
         # Robin rows carry rounding of order macheps*eta/h; the stopping

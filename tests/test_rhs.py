@@ -139,3 +139,36 @@ class TestFourSpecies:
         cfg = ps.FourSpeciesConfig(self.P12, ps.TwoSpeciesParams(1, 3, 1), 0.3)
         with pytest.raises(SubcriticalError):
             ps.assemble_four_species(cfg, "A")
+
+
+def _separate(config, label, phi):
+    """f and f' as two loops over the charge terms, one inversion each."""
+    pairs, valences, background = ps.charge_terms(config, label)
+    f = fp = 0.0
+    for pair, lab in pairs:
+        g, z, q = pair.g, pair.z, pair.q
+        f = f + q * ps.c_diff(ps.inverse_sigma(phi, pair, lab + "1"), pair, lab)
+        sig = np.asarray(ps.inverse_sigma(phi, pair, lab + "1"), dtype=float)
+        E = np.exp(-(g + z) * sig)
+        tilde = 1.0 + g * sig + (g * g - z * z) * E
+        with np.errstate(divide="ignore"):  # +inf at the turning point
+            fp = fp + q * (q * (sig + 2.0 * (g + z) * E) / tilde)
+    for z in valences:
+        f = f - z * np.exp(-z * phi)
+        fp = fp + z * z * np.exp(-z * phi)
+    return f + background, fp
+
+
+@pytest.mark.parametrize("config", [
+    CONFIG,
+    ps.FourSpeciesConfig(TestFourSpecies.P12, TestFourSpecies.P34, -0.3),
+])
+@pytest.mark.parametrize("label", ["A", "B"])
+def test_fused_value_and_derivative_are_bitwise_the_separate_ones(config, label):
+    fn = ps.assemble(config, label)
+    lo, hi = fn.domain
+    for phi in (np.linspace(lo, hi, 2001), lo, fn.root, 0.5 * (lo + hi), hi):
+        f, fp = fn.value_and_derivative(phi)
+        ref_f, ref_fp = _separate(config, label, np.clip(phi, lo, hi))
+        assert np.array_equal(f, ref_f) and np.array_equal(fp, ref_fp)
+        assert np.array_equal(fn(phi), f) and np.array_equal(fn.derivative(phi), fp)
