@@ -14,6 +14,11 @@ Layers, from the bottom up:
   independent quadrature routes that must agree (``pointwise_current``
   with ``integral_current_x``, and ``integral_current_sigma``);
 * :mod:`pnp_steric.cli` - command line front end.
+
+Helpers: :mod:`pnp_steric.roots` (Brent's bracketed root finder, the
+same arithmetic as scipy's) and :mod:`pnp_steric.quadrature` (adaptive
+Simpson).  Of scipy only ``scipy.linalg`` is imported, which keeps
+``import pnp_steric`` free of scipy.optimize and scipy.integrate.
 """
 
 from .branch import (

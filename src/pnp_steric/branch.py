@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BranchMismatchError, DomainError, NonconvergenceError
 from .errors import SubcriticalError, SupercriticalError
+from .roots import brentq
 
 __all__ = [
     "TwoSpeciesParams",
@@ -53,8 +53,6 @@ _SEGMENTS = ("A1", "A2", "B1", "B2")
 # to roundoff.
 _ENDPOINT_SLACK = 1e-12
 
-_BRENTQ_RTOL = 4 * np.finfo(float).eps
-
 _INVERSE_ITERS = 120  # segment inverse cap; a typical element needs 6
 _CACHE_SIZE = 128  # entries per constant cache; a sweep batch uses ~24 pairs
 
@@ -78,8 +76,9 @@ class TwoSpeciesParams:
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise DomainError("%s must be a finite number, got %r" % (name, v))
             object.__setattr__(self, name, float(v))
-        if self.g < 0:
-            raise DomainError("g must be nonnegative, got %g" % self.g)
+        _check_g(self.g)
+        if not math.isfinite(self.z * self.z):
+            raise DomainError("z squared overflows a float, got %r" % self.z)
         if self.z < 0:
             raise DomainError("z must be nonnegative, got %g" % self.z)
         if self.q < 1:
@@ -122,7 +121,7 @@ def sigma_z(params):
         return 2.0
     # h is increasing, h(0+) < 0 and h(2) >= 0.
     h = lambda s: s - 2.0 * math.exp(-0.5 * a * s)
-    return brentq(h, 1e-300, 2.0, xtol=1e-15, rtol=_BRENTQ_RTOL)
+    return brentq(h, 1e-300, 2.0, xtol=1e-15)
 
 
 def stability_indicator(params):
@@ -136,6 +135,24 @@ def stability_indicator(params):
     return 4.0 * (1.0 + params.g * sz) / (sz * sz) + params.g**2 - params.z**2
 
 
+def _g_crit_top(g):
+    """Top of g_crit's first bracket, the first z it probes."""
+    return max(2.0 * (1.0 + g), 4.0)
+
+
+def _check_g(g):
+    """DomainError unless g >= 0 and g_crit's probes have finite squares.
+
+    g_crit builds pairs with z from _g_crit_top(g) up, so a g admitted
+    here leaves every pair's critical constants computable.
+    """
+    top = _g_crit_top(g)
+    if not (g >= 0.0 and math.isfinite(top * top)):
+        raise DomainError(
+            "g must be nonnegative with 2*(1 + g) squared finite, got %r" % g
+        )
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def g_crit(g):
     """Critical cross-coupling: the z at which the meeting point destabilises.
@@ -144,19 +161,18 @@ def g_crit(g):
     bound sqrt(1 + g^2) with a geometrically grown bracket.
     """
     g = float(g)
-    if not (math.isfinite(g) and g >= 0.0):
-        raise DomainError("g must be a finite nonnegative number, got %r" % g)
+    _check_g(g)
 
     def h(z):
         return stability_indicator(TwoSpeciesParams(g, z))
 
     lo = math.sqrt(1.0 + g * g)
-    hi = max(2.0 * (1.0 + g), 4.0)
+    hi = _g_crit_top(g)
     while h(hi) > 0.0:
         hi *= 2.0
         if hi > 1e12:  # pragma: no cover - indicator is eventually negative
             raise DomainError("failed to bracket g_crit for g=%g" % g)
-    return brentq(h, lo, hi, xtol=1e-15, rtol=_BRENTQ_RTOL)
+    return brentq(h, lo, hi, xtol=1e-15)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -179,7 +195,7 @@ def sigma_c(params):
     hi = 1.0
     while h(hi) < 0.0:
         hi *= 2.0
-    return brentq(h, 1e-300, hi, xtol=1e-15, rtol=_BRENTQ_RTOL)
+    return brentq(h, 1e-300, hi, xtol=1e-15)
 
 
 def phi_crit(params):

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
-from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -37,6 +36,7 @@ from .errors import (
     SignError,
 )
 from .quadrature import adaptive_simpson
+from .roots import brentq
 
 __all__ = [
     "RobinBC",

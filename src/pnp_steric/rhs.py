@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import branch
 from .branch import TwoSpeciesParams
@@ -38,6 +37,7 @@ from .errors import (
     NoIntersectionError,
     SubcriticalError,
 )
+from .roots import brentq
 
 __all__ = [
     "ThreeSpeciesConfig",
@@ -54,8 +54,6 @@ __all__ = [
 # each unbounded segment at sigma_c + SPAN_SCALE/(g+z) so the decay factor
 # exp(-(g+z)*sigma) stays representable with lots of headroom.
 _SPAN_SCALE = 50.0
-
-_ROOT_RTOL = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,7 @@ def _locate_root(fn, lo, hi):
         return hi
     if flo * fhi > 0.0:
         return None
-    return brentq(fn, lo, hi, xtol=1e-12, rtol=_ROOT_RTOL)
+    return brentq(fn, lo, hi, xtol=1e-12)
 
 
 def charge_terms(config, label):

@@ -36,6 +36,20 @@ class TestParams:
         with pytest.raises(DomainError):
             ps.TwoSpeciesParams(1.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize(
+        "g, z", [(1e160, 40.0), (1e154, 40.0), (1.0, 1e160), (-1e160, 1.0)]
+    )
+    def test_rejects_couplings_whose_square_overflows(self, g, z):
+        with pytest.raises(DomainError):
+            ps.TwoSpeciesParams(g, z)
+
+    def test_largest_square_still_accepted(self):
+        # g stays below half of z's bound: g_crit probes z = 2*(1 + g)
+        big = math.sqrt(np.finfo(float).max)
+        assert ps.TwoSpeciesParams(big / 2, big).z == big
+        assert math.isfinite(ps.sigma_z(ps.TwoSpeciesParams(big / 2, big)))
+        assert math.isfinite(ps.g_crit(big / 2))
+
     def test_hashable_and_frozen(self):
         assert pair(1, 2) == pair(1, 2)
         assert hash(pair(1, 2)) == hash(pair(1, 2))
@@ -70,6 +84,12 @@ class TestSigmaZ:
 class TestGCrit:
     def test_g_zero_is_e(self):
         assert ps.g_crit(0.0) == pytest.approx(math.e, abs=1e-8)
+
+    # 1e154 has a finite square, but its bracket top 2*(1 + g) does not
+    @pytest.mark.parametrize("g", [1e160, 1e154, math.inf, math.nan, -1.0])
+    def test_rejects_g_without_finite_square(self, g):
+        with pytest.raises(DomainError):
+            ps.g_crit(g)
 
     def test_lower_bound(self):
         for g in [0.0, 0.5, 1.0, 2.0]:

@@ -67,6 +67,24 @@ class TestParseConfig:
         assert code == 2
         assert "configuration error" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["critical", "--g", "1e160", "--z", "40"],
+            ["critical", "--g", "1e154", "--z", "40"],
+            ["critical", "--g", "1", "--z", "1e160"],
+            ["solve", "--g", "1", "--z", "1e160"],
+            ["current", "--species", "four", "--g", "1", "--z", "25",
+             "--g2", "1", "--z2", "1e160", "--rho0", "-0.3"],
+        ],
+        ids=["critical_g", "critical_g_bracket", "critical_z", "solve_z",
+             "current_z2"],
+    )
+    def test_couplings_whose_square_overflows(self, args, capsys):
+        code, _, err = invoke(args, capsys)
+        assert code == 2
+        assert "configuration error" in err
+
     def test_background_sign_rules(self):
         with pytest.raises(ConfigError):
             cli.parse_config({"rho0": 0.0, "g": 1, "z": 40}, "solve")

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import pnp_steric as ps
 from pnp_steric import branch, bvp, current
@@ -112,6 +113,19 @@ class TestWindowIntegrals:
             split += current.integral_current_x(prof, -0.1, 0.6)
             assert abs(whole - split) <= 1e-10
 
+    @pytest.mark.parametrize("window", [(-0.5, 0.5), (-0.5, 0.5004), (-0.3, 0.7)])
+    def test_x_route_is_scipy_simpson(self, solved, window):
+        # the nodes inside these windows number odd, even and odd
+        _, sol = solved
+        prof = current.pointwise_current_three(sol, CONFIG, DIFF, "A")
+        x1, x2 = window
+        x, v = prof.nodes, prof.values
+        inside = (x > x1 + 1e-9 * (x[1] - x[0])) & (x < x2 - 1e-9 * (x[1] - x[0]))
+        xs = np.concatenate(([x1], x[inside], [x2]))
+        vs = np.concatenate(([np.interp(x1, x, v)], v[inside], [np.interp(x2, x, v)]))
+        want = float(integrate.simpson(vs, x=xs))
+        assert repr(current.integral_current_x(prof, x1, x2)) == repr(want)
+
     def test_dual_route_agreement(self, solved):
         _, sol = solved
         prof = current.pointwise_current_three(sol, CONFIG, DIFF, "A")
@@ -217,3 +231,13 @@ class TestGenericFormula:
         conc[0] = conc[0] * 1.01
         with pytest.raises(ConsistencyError):
             current.generic_current((x, phi), conc, valences, DIFF, coupling)
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_grid_simpson_is_scipy_simpson(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        x = np.cumsum(rng.uniform(0.01, 1.0, n)) - 1.0
+        for y in (rng.standard_normal(n), np.exp(3.0 * x), np.full(n, -0.0)):
+            want = integrate.simpson(y, x=x)
+            assert repr(current._grid_simpson(y, x)) == repr(want)
