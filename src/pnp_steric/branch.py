@@ -43,6 +43,7 @@ __all__ = [
     "c_diff_and_slope_on_segment",
     "c_diff_on_segment",
     "c_diff_segment_derivative",
+    "pressure",
     "critical_set",
 ]
 
@@ -503,6 +504,21 @@ def c_diff_segment_derivative(phi, params, segment):
     See c_diff_and_slope_on_segment for the closed form.
     """
     return c_diff_and_slope_on_segment(phi, params, segment)[1]
+
+
+def pressure(sigma, params):
+    """Ionic pressure G(sigma) = c1 + c2 + (g/2)*(c1^2 + c2^2) + z*c1*c2.
+
+    In sigma alone, G = sigma + g*sigma^2/2 - (g - z)*E with
+    E = exp(-(g+z)*sigma) = c1*c2.  Its derivative
+    1 + g*sigma + (g^2 - z^2)*E is q*(c1 - c2)*dphi/dsigma on either
+    branch, so G composed with an outer segment inverse is a primitive
+    in phi of the pair's charge density q*(c1 - c2) on that segment.
+    """
+    g, z = params.g, params.z
+    sigma = np.asarray(sigma, dtype=float)
+    out = sigma + 0.5 * g * sigma * sigma - (g - z) * _decay(sigma, params)
+    return out if out.ndim else float(out)
 
 
 def critical_set(params):

@@ -16,9 +16,11 @@ evaluation takes f and f' together, and the Jacobian reuses the f' of
 the accepted iterate.  The companion routines verify the qualitative
 structure the maximum principle forces on the solution: classification
 against the bulk root, pointwise bounds, an exponential interior
-envelope, boundary layer limits, linearised stability (the bottom
-eigenvalue of the symmetrised tridiagonal operator, by bisection), and
-unbounded growth when f has no root.
+envelope, boundary layer limits (from the closed-form primitive of f
+when the right-hand side carries one, by adaptive Simpson quadrature of
+f otherwise), linearised stability (the bottom eigenvalue of the
+symmetrised tridiagonal operator, by bisection), and unbounded growth
+when f has no root.
 """
 
 import math
@@ -55,6 +57,13 @@ __all__ = [
 _NEWTON_MAX_ITER = 200
 _DAMPING_FLOOR = 2.0**-20
 _MAX_CONSECUTIVE_CLAMPS = 5
+# P(s) - P(c) carries a rounding error of up to 18 eps * max(1, |P(c)|),
+# measured on the tests' three- and four-species configurations, whatever
+# |s - c|; bound it by 32 eps.  Where that exceeds _PRIMITIVE_RTOL (the
+# quadrature's relative tolerance) of the integral, the quadrature, whose
+# rounding shrinks with |s - c|, takes the integral instead.
+_PRIMITIVE_ROUNDING = 32.0 * np.finfo(float).eps
+_PRIMITIVE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -379,16 +388,38 @@ def boundary_layer_limits(rhs, c, bc, gamma):
         gamma * (phi0 - s)^2 = integral of f from c to s.
 
     Both sides are monotone in s on that interval, so the root is
-    unique.  A datum equal to c raises SignError (no layer to match).
+    unique.  The integral is P(s) - P(c) when rhs carries a primitive P
+    (rhs.assemble builds it in closed form: one segment inversion per
+    pair and evaluation), else adaptive Simpson quadrature of f.  The
+    quadrature also takes integrals so close to 0 that the rounding of
+    P(s) - P(c) would exceed its relative tolerance (data within about
+    1e-3 of c).  Either way s is checked against the domain of rhs.
+    gamma must be finite and nonnegative (DomainError); gamma = 0, the
+    Neumann limit, gives (c, c).  A datum equal to c raises SignError
+    (no layer to match).
     """
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise DomainError("gamma must be finite and nonnegative, got %r" % (gamma,))
+
+    def quadrature(s):
+        return adaptive_simpson(lambda t: float(rhs(np.asarray(t))), c, s)
+
+    if getattr(rhs, "primitive", None) is None:
+        integral = quadrature
+    else:
+        base = float(rhs.antiderivative(c))
+        floor = _PRIMITIVE_ROUNDING * max(1.0, abs(base)) / _PRIMITIVE_RTOL
+
+        def integral(s):
+            closed = float(rhs.antiderivative(s)) - base
+            return closed if abs(closed) >= floor else quadrature(s)
 
     def limit(phi0):
         if phi0 == c:
             raise SignError("boundary datum coincides with the bulk root")
 
         def mismatch(s):
-            accumulated = adaptive_simpson(lambda t: float(rhs(np.asarray(t))), c, s)
-            return gamma * (phi0 - s) ** 2 - accumulated
+            return gamma * (phi0 - s) ** 2 - integral(s)
 
         a, b = (c, phi0) if phi0 > c else (phi0, c)
         return brentq(mismatch, a, b, xtol=1e-13)

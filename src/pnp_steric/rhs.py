@@ -105,9 +105,12 @@ class RhsFunction:
         evaluator and derivative apart (assemble builds both halves from
         it); None for hand-built probes.  Replacing evaluator/derivative
         alone leaves combined in charge of value_and_derivative.
+    primitive : optional vectorised antiderivative P of f, P' = f, in
+        closed form from one segment inversion per pair (see assemble);
+        None for hand-built probes.
 
-    Calling the function, or value_and_derivative, checks phi against
-    the domain (up to roundoff slack) and clips it onto it.
+    Calling the function, value_and_derivative or antiderivative checks
+    phi against the domain (up to roundoff slack) and clips it onto it.
     """
 
     label: str
@@ -116,6 +119,7 @@ class RhsFunction:
     evaluator: Callable = field(repr=False)
     derivative: Callable = field(repr=False)
     combined: Callable | None = field(default=None, repr=False)
+    primitive: Callable | None = field(default=None, repr=False)
 
     def _in_domain(self, phi):
         lo, hi = self.domain
@@ -137,6 +141,10 @@ class RhsFunction:
         if self.combined is None:
             return self.evaluator(phi), self.derivative(phi)
         return self.combined(phi)
+
+    def antiderivative(self, phi):
+        """The primitive P at phi; P(b) - P(a) is the integral of f from a to b."""
+        return self.primitive(self._in_domain(phi))
 
 
 def third_species_concentration(phi, z3):
@@ -195,7 +203,9 @@ def assemble(config, label):
 
     f(phi) = sum_pairs q*(c1 - c2)(sigma(phi)) - sum_ions z*exp(-z*phi)
     + background, each pair composed with the inverse of its outer
-    segment (see charge_terms).  Every pair must be supercritical
+    segment (see charge_terms).  Its primitive is, term by term,
+    sum_pairs branch.pressure(sigma(phi)) + sum_ions exp(-z*phi)
+    + background*phi.  Every pair must be supercritical
     (z > g_crit(g)).  The domain is the overlap of the pairs' segment
     windows; an empty overlap raises EmptyDomainError and a missing sign
     change NoIntersectionError.
@@ -228,6 +238,14 @@ def assemble(config, label):
             fp = fp + z * z * boltzmann
         return f + background, fp
 
+    def primitive(phi):
+        p = background * phi
+        for pair, segment in segments:
+            p = p + branch.pressure(branch.inverse_sigma(phi, pair, segment), pair)
+        for z in valences:
+            p = p + np.exp(-z * phi)
+        return p
+
     def evaluator(phi):
         return combined(phi)[0]
 
@@ -239,7 +257,8 @@ def assemble(config, label):
         raise NoIntersectionError(
             "f_%s has no sign change on [%g, %g]" % (label, lo, hi)
         )
-    return RhsFunction(label, (lo, hi), root, evaluator, derivative, combined)
+    return RhsFunction(label, (lo, hi), root, evaluator, derivative, combined,
+                       primitive)
 
 
 # Configuration-specific names, kept for callers written against them.

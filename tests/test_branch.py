@@ -215,6 +215,26 @@ class TestDerivatives:
         with pytest.raises(DomainError):
             ps.dphi_dsigma(ps.sigma_z(p), p, "A")
 
+    def test_pressure_in_concentrations(self):
+        p = pair(0.7, 12, 2)
+        sig = np.geomspace(ps.sigma_z(p) + 0.01, 6.0, 30)
+        c1, c2 = ps.concentrations(sig, p, "A")
+        expected = c1 + c2 + 0.5 * p.g * (c1**2 + c2**2) + p.z * c1 * c2
+        np.testing.assert_allclose(branch.pressure(sig, p), expected, rtol=1e-13)
+        assert isinstance(branch.pressure(2.0, p), float)
+
+    @pytest.mark.parametrize("branch_label", ["A", "B"])
+    def test_pressure_slope_is_charge_times_dphi_dsigma(self, branch_label):
+        # G'(sigma) = q*(c1 - c2)*dphi/dsigma: G(sigma(phi)) is a primitive
+        # of the pair's charge density on either branch
+        p = pair(1, 10, 2)
+        sig = np.geomspace(ps.sigma_z(p) + 0.05, 5.0, 20)
+        charge = p.q * ps.c_diff(sig, p, branch_label)
+        expected = charge * ps.dphi_dsigma(sig, p, branch_label)
+        for s, d in zip(sig, expected):
+            fd = central_difference(lambda t: branch.pressure(t, p), s, 1e-6)
+            assert fd == pytest.approx(d, rel=1e-7)
+
 
 class TestInverses:
     def test_roundtrip_identity(self):

@@ -1,5 +1,6 @@
 """Unit tests for the boundary value solver and its structural checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pnp_steric as ps
-from pnp_steric import branch, bvp
+from pnp_steric import branch, bvp, current
 from pnp_steric.errors import (
     DomainError,
     InconsistentProfileError,
@@ -44,6 +45,13 @@ def three_species():
     pair = ps.TwoSpeciesParams(1.0, 20.0, 1.0)
     cfg = ps.ThreeSpeciesConfig(pair, 1.0, 0.5)
     return ps.assemble_three_species(cfg, "A")
+
+
+# acceptance criterion 9's configuration, and the tests' four-species one
+CFG20 = ps.ThreeSpeciesConfig(ps.TwoSpeciesParams(1.0, 20.0, 1.0), 1.0, 0.5)
+CFG4 = ps.FourSpeciesConfig(
+    ps.TwoSpeciesParams(1.0, 25.0, 1.0), ps.TwoSpeciesParams(1.0, 25.0, 2.0), -0.3
+)
 
 
 class TestValidation:
@@ -303,6 +311,68 @@ class TestBoundaryLayers:
             linear_rhs(), 0.0, bvp.RobinBC(-1.0, 1.0), 0.5
         )
         assert left == pytest.approx(-0.5, abs=1e-10)
+
+    @pytest.mark.parametrize("gamma", [-1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("closed_form", [False, True])
+    def test_bad_gamma_rejected(self, three_species, closed_form, gamma):
+        fn = three_species if closed_form else linear_rhs()
+        c = fn.root
+        with pytest.raises(DomainError, match="gamma"):
+            bvp.boundary_layer_limits(fn, c, bvp.RobinBC(c + 0.3, c + 0.2), gamma)
+
+    @pytest.mark.parametrize("closed_form", [False, True])
+    def test_zero_gamma_is_the_neumann_limit(self, three_species, closed_form):
+        fn = three_species if closed_form else linear_rhs()
+        c = fn.root
+        limits = bvp.boundary_layer_limits(fn, c, bvp.RobinBC(c + 0.3, c - 0.2), 0.0)
+        assert limits == (c, c)
+
+    def test_datum_outside_the_domain_rejected(self, three_species):
+        c = three_species.root
+        bad = three_species.domain[1] + 0.5
+        with pytest.raises(DomainError):
+            bvp.boundary_layer_limits(three_species, c, bvp.RobinBC(bad, c + 0.2), 0.5)
+
+    @pytest.mark.parametrize("config, label", [(CFG20, "A"), (CFG4, "B")])
+    def test_closed_form_agrees_with_quadrature(self, config, label):
+        # data next to the root leave P(s) - P(c) mostly rounding; there
+        # the quadrature takes over
+        fn = ps.assemble(config, label)
+        quadrature_only = dataclasses.replace(fn, primitive=None)
+        c, lo = fn.root, fn.domain[0]
+        for left, right in ((c + 0.3, c - 0.5 * (c - lo)), (c + 1e-5, c - 1e-8)):
+            bc = bvp.RobinBC(left, right)
+            closed = bvp.boundary_layer_limits(fn, c, bc, 0.5)
+            quadrature = bvp.boundary_layer_limits(quadrature_only, c, bc, 0.5)
+            assert closed == pytest.approx(quadrature, abs=1e-11)
+
+    def test_closed_form_inverts_a_few_times(self, three_species, monkeypatch):
+        # criterion 9's limits: one inversion for P(c), then one per
+        # mismatch evaluation (quadrature of f needs ~140)
+        calls = []
+        inverse = branch.inverse_sigma
+
+        def counting(phi, *args):
+            calls.append(np.size(phi))
+            return inverse(phi, *args)
+
+        monkeypatch.setattr(branch, "inverse_sigma", counting)
+        c = three_species.root
+        bvp.boundary_layer_limits(three_species, c, bvp.RobinBC(c + 0.3, c + 0.2), 0.5)
+        assert 0 < len(calls) <= 30
+
+    @pytest.mark.parametrize("config, label", [(CFG20, "A"), (CFG4, "B")])
+    def test_first_integral_on_solved_profiles(self, config, label):
+        # eps*phi'^2/2 = P(phi) - P(c) at a layer edge whose profile
+        # relaxes to the bulk root c
+        fn = ps.assemble(config, label)
+        c = fn.root
+        sol = bvp.solve(bvp.BvpProblem(1e-4, fn, bvp.RobinBC(c + 0.3, c + 0.2)))
+        slope = current.grid_derivative(sol.nodes, sol.values)
+        for i in (0, -1):
+            kinetic = 0.5 * sol.epsilon * slope[i] ** 2
+            work = float(fn.antiderivative(sol.values[i])) - float(fn.antiderivative(c))
+            assert kinetic == pytest.approx(work, rel=0.02)
 
 
 class TestStability:

@@ -4,9 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import pnp_steric as ps
-from pnp_steric.errors import DomainError, NoIntersectionError, SubcriticalError
+from pnp_steric.errors import (
+    DomainError,
+    NoIntersectionError,
+    PnpStericError,
+    SubcriticalError,
+)
+from pnp_steric.quadrature import adaptive_simpson
 
 from oracles import bisect
 
@@ -172,3 +180,47 @@ def test_fused_value_and_derivative_are_bitwise_the_separate_ones(config, label)
         ref_f, ref_fp = _separate(config, label, np.clip(phi, lo, hi))
         assert np.array_equal(f, ref_f) and np.array_equal(fp, ref_fp)
         assert np.array_equal(fn(phi), f) and np.array_equal(fn.derivative(phi), fp)
+
+
+def _supercritical(g, z_factor, q):
+    return ps.TwoSpeciesParams(g, z_factor * ps.g_crit(g), q)
+
+
+_PAIRS = st.builds(
+    _supercritical,
+    st.floats(0.0, 2.0),
+    st.floats(1.5, 20.0),
+    st.sampled_from([1.0, 2.0]),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    config=st.one_of(
+        st.builds(ps.ThreeSpeciesConfig, _PAIRS, st.sampled_from([1.0, 2.0]),
+                  st.floats(0.2, 1.5)),
+        st.builds(ps.FourSpeciesConfig, _PAIRS, _PAIRS,
+                  st.floats(0.1, 1.0).flatmap(lambda r: st.sampled_from([r, -r]))),
+    ),
+    label=st.sampled_from(["A", "B"]),
+    u=st.floats(0.02, 0.98),
+    v=st.floats(0.02, 0.98),
+)
+def test_primitive_differences_are_integrals_of_f(config, label, u, v):
+    """Differences of the closed-form primitive are quadratures of f."""
+    try:
+        fn = ps.assemble(config, label)
+    except PnpStericError:
+        assume(False)
+    lo, hi = fn.domain
+    a, b = lo + u * (hi - lo), lo + v * (hi - lo)
+    assume(a != b)
+    closed = float(fn.antiderivative(b)) - float(fn.antiderivative(a))
+    quad = adaptive_simpson(lambda t: float(fn(t)), a, b, rel_tol=1e-12)
+    assert closed == pytest.approx(quad, rel=1e-10)
+
+
+def test_antiderivative_checks_the_domain():
+    fn = ps.assemble(CONFIG, "A")
+    with pytest.raises(DomainError):
+        fn.antiderivative(fn.domain[0] - 0.5)
