@@ -55,6 +55,7 @@ _SEGMENTS = ("A1", "A2", "B1", "B2")
 _ENDPOINT_SLACK = 1e-12
 
 _INVERSE_ITERS = 120  # segment inverse cap; a typical element needs 6
+_LAMBERT_ITERS = 20  # Halley cap for _lambert_w; it needs at most about 5
 _CACHE_SIZE = 128  # entries per constant cache; a sweep batch uses ~24 pairs
 
 
@@ -110,19 +111,45 @@ def _check_segment(segment):
         raise DomainError("segment must be one of %r, got %r" % (_SEGMENTS, segment))
 
 
+def _lambert_w(a):
+    """Principal branch W(a) of w*exp(w) = a for a > 0, by Halley iteration.
+
+    Starts from log1p(a) below e and from the asymptotic
+    ln(a) - ln(ln(a)) + ln(ln(a))/ln(a) above; each step triples the
+    correct digits, so a few reach the last bit.
+    """
+    if a <= math.e:
+        w = math.log1p(a)
+    else:
+        l1 = math.log(a)
+        l2 = math.log(l1)
+        w = l1 - l2 + l2 / l1
+    for _ in range(_LAMBERT_ITERS):
+        ew = math.exp(w)
+        f = w * ew - a
+        step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= 4.0 * np.finfo(float).eps * w:
+            return w
+    raise NonconvergenceError(  # pragma: no cover - Halley converges cubically
+        "Lambert W of %r did not converge" % a
+    )
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def sigma_z(params):
     """Smallest admissible total concentration of the pair.
 
     Unique positive root of sigma = 2*exp(-(g+z)*sigma/2); at this point
-    the two branches meet (c1 = c2 = sigma/2).
+    the two branches meet (c1 = c2 = sigma/2).  With u = (g+z)*sigma/2
+    the equation is u*exp(u) = g+z, so sigma = 2*W(g+z)/(g+z), accurate
+    to a few ulps however small (a root finder with an absolute
+    tolerance is not, for g+z beyond about 1e9).
     """
     a = params.g + params.z
     if a == 0.0:
         return 2.0
-    # h is increasing, h(0+) < 0 and h(2) >= 0.
-    h = lambda s: s - 2.0 * math.exp(-0.5 * a * s)
-    return brentq(h, 1e-300, 2.0, xtol=1e-15)
+    return 2.0 * _lambert_w(a) / a
 
 
 def stability_indicator(params):
@@ -351,6 +378,14 @@ def _invert_monotone(target, params, lo, hi, increasing):
     at the rounding level 8*eps*(g+z)*max(1, sigma)/q of phi_A's terms
     (their cancellation at g = 0, large sigma, can defeat the other two).
     NonconvergenceError if any element is not done in _INVERSE_ITERS.
+
+    Only the distinct values of target are iterated on, and the results
+    are scattered back to every element that holds them.  This changes
+    no bit of the result: an element's iterates depend only on its own
+    target and on the common bracket, whose top is grown from the
+    largest target, which deduplication keeps.  Near-uniform profiles,
+    whose outer region repeats the bulk root at almost every node, need
+    a few hundred inversions instead of one per node.
     """
     target = np.asarray(target, dtype=float)
     if hi is None:
@@ -360,7 +395,8 @@ def _invert_monotone(target, params, lo, hi, increasing):
                 hi = lo + 2.0 * (hi - lo)
             if not np.isfinite(_phi_a(hi, params)):
                 raise DomainError("potential %.17g beyond phi_A's float range" % top)
-    shape, target = target.shape, target.ravel()
+    shape = target.shape
+    target, back = np.unique(target.ravel(), return_inverse=True)
     out, todo = np.empty(target.size), np.arange(target.size)
     lo, hi = (np.full(target.size, end, dtype=float) for end in (lo, hi))
     x = 0.5 * (lo + hi)
@@ -383,9 +419,9 @@ def _invert_monotone(target, params, lo, hi, increasing):
         out[todo[done]] = x[done]
         todo, target, lo, hi, x = (a[~done] for a in (todo, target, lo, hi, x))
         if not todo.size:
-            return out.reshape(shape)
-    raise NonconvergenceError("segment inverse: %d of %d potentials unconverged"
-                              % (todo.size, out.size))
+            return out[back].reshape(shape)
+    raise NonconvergenceError("segment inverse: %d of %d distinct potentials "
+                              "unconverged" % (todo.size, out.size))
 
 
 def _clamp_to(value, lo, hi, scale):
@@ -438,13 +474,17 @@ def inverse_sigma(phi, params, segment):
     pac = phi_crit(params)
     if segment == "A2":
         phi = _clamp_to(phi, -pac, 0.0, pac)
-        out = _invert_monotone(phi, params, sigma_z(params), sc, increasing=False)
+        lo, hi, increasing = sigma_z(params), sc, False
     else:
         phi = _clamp_to(phi, -pac, np.inf, pac)
-        out = _invert_monotone(phi, params, sc, None, increasing=True)
+        lo, hi, increasing = sc, None, True
     # both segments end at the turning point, where the inverse has
-    # infinite slope; pin that end exactly instead of trusting the iterate
-    out = np.where(phi == -pac, sc, out)
+    # infinite slope; pin that end exactly and invert only the rest (the
+    # end is the segment's lowest potential, so it never sets hi)
+    out = np.full(phi.shape, sc)
+    free = phi != -pac
+    if np.any(free):
+        out[free] = _invert_monotone(phi[free], params, lo, hi, increasing)
     return out if out.ndim else float(out)
 
 

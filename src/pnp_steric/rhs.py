@@ -167,7 +167,11 @@ def _segment_window(pair, segment):
 
 
 def _locate_root(fn, lo, hi):
-    """Bracketed root of a scalar function on [lo, hi], or None."""
+    """Bracketed root of a scalar function on [lo, hi], or None.
+
+    brentq starts by evaluating both ends; it is handed the end values
+    already computed here instead of evaluating them again.
+    """
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo
@@ -175,7 +179,8 @@ def _locate_root(fn, lo, hi):
         return hi
     if flo * fhi > 0.0:
         return None
-    return brentq(fn, lo, hi, xtol=1e-12)
+    known = {lo: flo, hi: fhi}
+    return brentq(lambda p: known[p] if p in known else fn(p), lo, hi, xtol=1e-12)
 
 
 def charge_terms(config, label):

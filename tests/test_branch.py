@@ -80,6 +80,18 @@ class TestSigmaZ:
             resid = sz * sz - 4.0 * math.exp(-(p.g + p.z) * sz)
             assert abs(resid) <= 1e-12 * sz * sz
 
+    @pytest.mark.parametrize("a", [1.0, 45.0, 1e9, 1e12, 1e15, 1e100])
+    def test_lambert_w_to_relative_precision(self, a):
+        # relative accuracy however small sigma_z is (4.5e-98 at a = 1e100)
+        w = float(lambertw(a).real)
+        assert branch._lambert_w(a) == pytest.approx(w, rel=1e-13, abs=0)
+        assert ps.sigma_z(pair(0, a)) == pytest.approx(2.0 * w / a, rel=1e-13, abs=0)
+
+    def test_huge_self_coupling(self):
+        a = 1e100 + 40.0
+        want = 2.0 * float(lambertw(a).real) / a
+        assert ps.sigma_z(pair(1e100, 40)) == pytest.approx(want, rel=1e-13, abs=0)
+
 
 class TestGCrit:
     def test_g_zero_is_e(self):
@@ -339,6 +351,93 @@ class TestInverses:
         monkeypatch.setattr(branch, "_INVERSE_ITERS", 3)
         with pytest.raises(NonconvergenceError):
             ps.inverse_sigma(np.linspace(-0.5, 2.0, 50), pair(1, 20), "A1")
+
+    @pytest.mark.parametrize("segment", ["A1", "A2", "B1", "B2"])
+    def test_turning_point_end_is_pinned_without_iterating(self, monkeypatch, segment):
+        p = pair(1, 20)
+        end = -ps.phi_crit(p) if segment[0] == "A" else ps.phi_crit(p)
+        sc = ps.sigma_c(p)
+
+        def refuse(*args):
+            raise AssertionError("inverted a pinned potential")
+
+        monkeypatch.setattr(branch, "_phi_a_and_slope", refuse)
+        assert ps.inverse_sigma(end, p, segment) == sc
+        assert np.array_equal(ps.inverse_sigma([end, end], p, segment), [sc, sc])
+
+    def test_deep_layer_solve_inverts_distinct_potentials_only(self, monkeypatch):
+        # at eps = 1e-6 the grid has 22,640 nodes, nearly all of them at
+        # the bulk root; only a few hundred distinct potentials remain
+        cfg = ps.ThreeSpeciesConfig(pair(1.0, 40.0), 1.0, 0.5)
+        fn = ps.assemble(cfg, "A")
+        c = fn.root
+        problem = ps.BvpProblem(1e-6, fn, ps.RobinBC(c + 0.15, c - 0.10))
+        sizes = []
+        evaluate = branch._phi_a_and_slope
+
+        def counting(sigma, params):
+            sizes.append(np.size(sigma))
+            return evaluate(sigma, params)
+
+        monkeypatch.setattr(branch, "_phi_a_and_slope", counting)
+        sol = ps.solve(problem)
+        assert sol.nodes.size > 20000
+        assert 0 < max(sizes) <= 1000
+
+
+def _potentials(lo, hi, u, extras, shape):
+    """Potentials lo + u*(hi - lo), after the extras that lie in [lo, hi]
+    and three injected duplicates, repeated cyclically to fill shape."""
+    phi = [e for e in extras if lo <= e <= hi]
+    phi += [lo + v * (hi - lo) for v in u[:3] + u]
+    return np.resize(np.array(phi), shape) if shape else phi[0]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    g=st.floats(0.0, 3.0),
+    z_factor=st.floats(1.05, 20.0),
+    q=st.sampled_from([1.0, 2.0]),
+    segment=st.sampled_from(["A1", "A2", "B1", "B2", "unified"]),
+    shape=st.sampled_from([(), (12,), (3, 4)]),
+    u=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=16),
+    extras=st.lists(st.sampled_from([0.0, -0.0, 1, -1]), min_size=8, max_size=8),
+)
+def test_inverse_result_is_independent_of_duplicates_and_order(
+    g, z_factor, q, segment, shape, u, extras
+):
+    """Repeating and reversing the potentials repeats and reverses the
+    inverse bit for bit, duplicates, signed zeros and the turning point
+    (extras +-1 stand for +-phi_crit) included."""
+    if segment == "unified":
+        p = pair(g, 0.9 * ps.g_crit(g), q)
+        phi = _potentials(-4.0, 4.0, u, extras, shape)
+        invert = lambda x: ps.unified_sigma(x, p)
+    else:
+        p = pair(g, z_factor * ps.g_crit(g), q)
+        pac = ps.phi_crit(p)
+        lo, hi = {
+            "A1": (-pac, pac + 10.0),
+            "A2": (-pac, 0.0),
+            "B1": (-pac - 10.0, pac),
+            "B2": (0.0, pac),
+        }[segment]
+        extras = [e * pac if isinstance(e, int) else e for e in extras]
+        phi = _potentials(lo, hi, u, extras, shape)
+        invert = lambda x: ps.inverse_sigma(x, p, segment)
+    s = invert(phi)
+    if np.ndim(phi) == 0:
+        assert isinstance(s, float)
+        assert _same_bits(invert(np.array([phi, phi])), [s, s])
+        assert _same_bits(invert(np.asarray(phi)), s)
+        return
+    doubled = np.concatenate([phi, phi[::-1]])
+    assert _same_bits(invert(doubled), np.concatenate([s, s[::-1]]))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
