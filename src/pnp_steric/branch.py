@@ -236,20 +236,19 @@ def phi_crit(params):
     return -phi_on_branch(sigma_c(params), params, "A")
 
 
-def _decay(sigma, params):
-    """exp(-(g+z)*sigma), the common product c1*c2."""
-    return np.exp(-(params.g + params.z) * sigma)
+def _pair_state(sigma, params):
+    """(E, s, f_tilde) of the pair at sigma, from one exp and one sqrt.
 
-
-def _decay_and_disc(sigma, params):
-    """(E, s): E = exp(-(g+z)*sigma) = c1*c2 and s = |c1 - c2|, one exp.
-
-    s = sqrt(sigma^2 - 4*E), with a roundoff clamp: negative
-    discriminants within relative slack of zero are treated as sitting
-    on sigma_z; genuinely subthreshold sigma raises DomainError.
+    E = exp(-(g+z)*sigma) = c1*c2, s = sqrt(sigma^2 - 4*E) = |c1 - c2|
+    and f_tilde = 1 + g*sigma + (g^2 - z^2)*E, which vanishes at the
+    turning point sigma_c.  Every closed form of the pair reads them
+    from here.  Sub-threshold rule: a negative discriminant at a sigma
+    within relative slack _ENDPOINT_SLACK of sigma_z is roundoff and
+    gives s = 0; a sigma further below sigma_z raises DomainError.
     """
+    g, z = params.g, params.z
     sigma = np.asarray(sigma, dtype=float)
-    E = _decay(sigma, params)
+    E = np.exp(-(g + z) * sigma)
     d = sigma * sigma - 4.0 * E
     bad = d < 0.0
     if np.any(bad):
@@ -260,12 +259,7 @@ def _decay_and_disc(sigma, params):
             raise DomainError(
                 "sigma below the admissible threshold sigma_z=%.17g" % sz
             )
-    return E, np.sqrt(d)
-
-
-def _sqrt_disc(sigma, params):
-    """sqrt(sigma^2 - 4*exp(-(g+z)*sigma)) = |c1 - c2| (see _decay_and_disc)."""
-    return _decay_and_disc(sigma, params)[1]
+    return E, np.sqrt(d), 1.0 + g * sigma + (g * g - z * z) * E
 
 
 def concentrations(sigma, params, branch):
@@ -277,9 +271,9 @@ def concentrations(sigma, params, branch):
     """
     _check_branch(branch)
     sigma = np.asarray(sigma, dtype=float)
-    s = _sqrt_disc(sigma, params)
+    E, s, _ = _pair_state(sigma, params)
     big = 0.5 * (sigma + s)
-    small = 2.0 * _decay(sigma, params) / (sigma + s)
+    small = 2.0 * E / (sigma + s)
     if branch == "A":
         return big, small
     return small, big
@@ -288,7 +282,7 @@ def concentrations(sigma, params, branch):
 def c_diff(sigma, params, branch):
     """Concentration difference c1 - c2 on the requested branch."""
     _check_branch(branch)
-    s = _sqrt_disc(sigma, params)
+    s = _pair_state(sigma, params)[1]
     return s if branch == "A" else -s
 
 
@@ -305,7 +299,7 @@ def phi_on_branch(sigma, params, branch):
         out = _phi_a(sigma, params)
     else:
         g, z, q = params.g, params.z, params.q
-        s = _sqrt_disc(sigma, params)
+        s = _pair_state(sigma, params)[1]
         # ln(c2) = ln(2E/(sigma+s)) expanded so the decay never underflows
         log_small = math.log(2.0) - (g + z) * sigma - np.log(sigma + s)
         out = (log_small + 0.5 * (g + z) * sigma - 0.5 * (g - z) * s) / q
@@ -324,7 +318,9 @@ def dphi_dsigma(sigma, params, branch):
     sz = sigma_z(params)
     if np.any(sigma <= sz):
         raise DomainError("derivative is singular at or below sigma_z=%.17g" % sz)
-    out = _dphi_a(sigma, params)
+    _, s, tilde = _pair_state(sigma, params)
+    with np.errstate(divide="ignore"):
+        out = tilde / (params.q * s)
     if branch == "B":
         out = -out
     return out if out.ndim else float(out)
@@ -337,32 +333,19 @@ def _phi_a(sigma, params, s=None):
     """
     g, z, q = params.g, params.z, params.q
     if s is None:
-        s = _sqrt_disc(sigma, params)
+        s = _pair_state(sigma, params)[1]
     return (np.log(0.5 * (sigma + s)) + 0.5 * (g + z) * sigma + 0.5 * (g - z) * s) / q
 
 
-def _dphi_a(sigma, params, E=None, s=None):
-    """d(phi_A)/d(sigma) with the singular 1/s left to the caller's care.
-
-    E and s are _decay_and_disc(sigma) when the caller already has them.
-    """
-    g, z, q = params.g, params.z, params.q
-    if s is None:
-        E, s = _decay_and_disc(sigma, params)
-    tilde = 1.0 + g * sigma + (g * g - z * z) * E
-    with np.errstate(divide="ignore"):
-        return tilde / (q * s)
-
-
 def _phi_a_and_slope(sigma, params):
-    """phi_A and d(phi_A)/d(sigma) from one exp and one sqrt.
+    """phi_A and its slope f_tilde/(q*s) in sigma, from one exp and one sqrt.
 
-    A 0/0 slope comes back as nan, silently, for the caller's bracket
-    logic to reject.
+    The slope is +inf at sigma_z (s = 0); a 0/0 slope comes back as nan,
+    silently, for the caller's bracket logic to reject.
     """
-    E, s = _decay_and_disc(sigma, params)
-    with np.errstate(invalid="ignore"):
-        slope = _dphi_a(sigma, params, E, s)
+    _, s, tilde = _pair_state(sigma, params)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = tilde / (params.q * s)
     return _phi_a(sigma, params, s), slope
 
 
@@ -511,20 +494,23 @@ def c_diff_and_slope_on_segment(phi, params, segment):
     """(c1 - c2, its derivative in phi) on "A1" or "B1", from one inversion.
 
     The difference is +s on "A1" and -s on "B1"; its derivative on both
-    is the closed form q*(sigma + 2*(g+z)*E) / f_tilde at sigma(phi)
+    is the closed form q*(sigma + 2*(g+z)*E) / |f_tilde| at sigma(phi)
     (the sign flips of the difference and of the inverse cancel, so the
-    composition is increasing on either segment).  f_tilde vanishes at
-    the turning point, where the derivative is +inf.  Only these outer
-    segments enter the reduced Poisson equation.
+    composition is increasing on either segment).  f_tilde >= 0 on the
+    outer segments and vanishes at the turning point, where the pinned
+    sigma_c leaves it a rounding-level number of either sign; the
+    absolute value keeps the derivative there large and positive (or
+    +inf).  Only these outer segments enter the reduced Poisson equation.
     """
     if segment not in ("A1", "B1"):
         raise DomainError("segment must be 'A1' or 'B1', got %r" % (segment,))
     g, z, q = params.g, params.z, params.q
     sig = np.asarray(inverse_sigma(phi, params, segment), dtype=float)
-    E, s = _decay_and_disc(sig, params)
-    tilde = 1.0 + g * sig + (g * g - z * z) * E
+    E, s, tilde = _pair_state(sig, params)
+    # |f_tilde| in place: tilde is this call's own, and one more full-grid
+    # temporary per Newton residual shows as page faults in the solve
     with np.errstate(divide="ignore"):
-        slope = q * (sig + 2.0 * (g + z) * E) / tilde
+        slope = q * (sig + 2.0 * (g + z) * E) / np.abs(tilde, out=np.asarray(tilde))
     return (s if segment == "A1" else -s), (slope if slope.ndim else float(slope))
 
 
@@ -557,7 +543,7 @@ def pressure(sigma, params):
     """
     g, z = params.g, params.z
     sigma = np.asarray(sigma, dtype=float)
-    out = sigma + 0.5 * g * sigma * sigma - (g - z) * _decay(sigma, params)
+    out = sigma + 0.5 * g * sigma * sigma - (g - z) * _pair_state(sigma, params)[0]
     return out if out.ndim else float(out)
 
 

@@ -13,8 +13,9 @@ steric couplings.  The excess part admits two independent evaluations:
 Which steric pairs contribute, and on which branch, comes from
 rhs.charge_terms; the Boltzmann ions carry no excess current.
 
-Both routes are implemented from scratch and agreement between them is
-the package's primary correctness check for this module.  A third,
+Both routes read the pair algebra (E, |c1 - c2| and f_tilde) from
+branch and share no quadrature; agreement between them is the
+package's primary correctness check for this module.  A third,
 configuration-agnostic formula evaluates the excess current directly
 from concentration profiles and the steric coupling matrix.
 """
@@ -108,9 +109,7 @@ def _pair_current_factor(sigma, pair, d_small_label, branch_label):
     d1, d2 = d_small_label
     g, z, q = pair.g, pair.z, pair.q
     sigma = np.asarray(sigma, dtype=float)
-    E = np.exp(-(g + z) * sigma)
-    s = np.sqrt(np.maximum(sigma * sigma - 4.0 * E, 0.0))
-    tilde = 1.0 + g * sigma + (g * g - z * z) * E
+    E, s, tilde = branch._pair_state(sigma, pair)
     sgn = 1.0 if branch_label == "A" else -1.0
     half_diff = 0.5 * (d2 - d1) * sgn * s
     half_sum = 0.5 * (d1 + d2)
@@ -215,28 +214,26 @@ def integral_current_x(profile, x1, x2):
 def _sigma_integrand(pair, d_pair, branch_label):
     """Integrand of the sigma route for one pair on one branch.
 
-    The A form subtracts the 1/s block, the B form adds it; both are
-    smooth away from sigma_z and integrable through the turning point.
+    It is q*i(sigma)*dphi/dsigma with the f_tilde of i's denominator
+    cancelled against the one in dphi/dsigma = +/-f_tilde/(q*s):
+
+        (D2-D1)/2*(1 - q*f_tilde)
+            -/+ (D1+D2)/2*(sigma + 2*(g+z)*E - q*sigma*f_tilde)/s
+
+    with the minus on branch "A" and the plus on "B".  Composing the x
+    route's _pair_current_factor with dphi_dsigma instead would give
+    inf*0 at the turning point; this form is finite there, so it is
+    integrable through sigma_c and singular only at sigma_z.
     """
     d1, d2 = d_pair
     g, z, q = pair.g, pair.z, pair.q
     sgn = -1.0 if branch_label == "A" else 1.0
 
     def integrand(sigma):
-        E = math.exp(-(g + z) * sigma)
-        s = math.sqrt(max(sigma * sigma - 4.0 * E, 0.0))
-        first = 0.5 * (d2 - d1) * ((1.0 - q) - q * (g * sigma + (g * g - z * z) * E))
-        second = (
-            0.5
-            * (d1 + d2)
-            / s
-            * (
-                (1.0 - q) * sigma
-                - q * g * sigma * sigma
-                + (g + z) * (2.0 - q * (g - z) * sigma) * E
-            )
-        )
-        return first + sgn * second
+        E, s, tilde = branch._pair_state(sigma, pair)
+        first = 0.5 * (d2 - d1) * (1.0 - q * tilde)
+        second = 0.5 * (d1 + d2) / s * (sigma + 2.0 * (g + z) * E - q * sigma * tilde)
+        return float(first + sgn * second)
 
     return integrand
 

@@ -503,6 +503,16 @@ class TestSegmentComposition:
                 assert d == pytest.approx(fd, rel=1e-6)
                 assert d > 0
 
+    @pytest.mark.parametrize("g, z", [(1, 40), (0, 5), (1, 20)])
+    def test_slope_at_the_turning_point_end_is_positive(self, g, z):
+        # f_tilde rounds to +-tiny at the pinned sigma_c; either sign
+        # must give the large positive slope of an increasing segment
+        p = pair(g, z)
+        pac = ps.phi_crit(p)
+        for seg, end in (("A1", -pac), ("B1", pac)):
+            assert ps.c_diff_segment_derivative(end, p, seg) > 0
+            assert np.all(ps.c_diff_segment_derivative([end, end], p, seg) > 0)
+
 
 class TestCriticalSet:
     def test_supercritical_bundle(self):

@@ -293,6 +293,19 @@ class TestEnvelope:
         report = bvp.envelope_check(sol, three_species, c)
         assert report["satisfied"]
 
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    def test_datum_on_the_turning_point_end(self, eps):
+        # label B's upper domain end is +phi_crit, where f' is +inf up
+        # to rounding; a datum there must still see an increasing f
+        cfg = ps.ThreeSpeciesConfig(ps.TwoSpeciesParams(1.0, 40.0, 1.0), 1.0, 0.5)
+        fn = ps.assemble(cfg, "B")
+        c = fn.root
+        bc = bvp.RobinBC(fn.domain[1], c - 0.1)
+        sol = bvp.solve(bvp.BvpProblem(eps, fn, bc))
+        assert sol.classification == "decreasing"
+        report = bvp.envelope_check(sol, fn, c)
+        assert report["alpha0"] > 0 and report["satisfied"]
+
 
 class TestBoundaryLayers:
     def test_linear_closed_form(self):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import pnp_steric as ps
@@ -231,6 +233,35 @@ class TestGenericFormula:
         conc[0] = conc[0] * 1.01
         with pytest.raises(ConsistencyError):
             current.generic_current((x, phi), conc, valences, DIFF, coupling)
+
+
+def _supercritical(g, z_factor, q):
+    return ps.TwoSpeciesParams(g, z_factor * ps.g_crit(g), q)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    pair=st.builds(
+        _supercritical,
+        st.floats(0.0, 3.0),
+        st.floats(1.05, 10.0),
+        st.sampled_from([1.0, 2.0]),
+    ),
+    d_pair=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
+    u=st.floats(1e-3, 50.0),
+    label=st.sampled_from(["A", "B"]),
+)
+def test_both_routes_share_one_integrand(pair, d_pair, u, label):
+    # the sigma route integrates q*i(sigma)*dphi/dsigma, the x route's
+    # factor times the branch slope, with f_tilde cancelled in closed form
+    sigma = ps.sigma_c(pair) * (1.0 + u)
+    composed = (
+        current._pair_current_factor(sigma, pair, d_pair, label)
+        * pair.q
+        * ps.dphi_dsigma(sigma, pair, label)
+    )
+    direct = current._sigma_integrand(pair, d_pair, label)(sigma)
+    assert abs(composed - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
 @pytest.mark.parametrize("n", range(2, 61))

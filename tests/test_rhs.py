@@ -160,7 +160,7 @@ def _separate(config, label, phi):
         E = np.exp(-(g + z) * sig)
         tilde = 1.0 + g * sig + (g * g - z * z) * E
         with np.errstate(divide="ignore"):  # +inf at the turning point
-            fp = fp + q * (q * (sig + 2.0 * (g + z) * E) / tilde)
+            fp = fp + q * (q * (sig + 2.0 * (g + z) * E) / np.abs(tilde))
     for z in valences:
         f = f - z * np.exp(-z * phi)
         fp = fp + z * z * np.exp(-z * phi)
