@@ -209,6 +209,8 @@ def sigma_c(params):
 
     Root of ln(1 + g*sigma) + (g+z)*sigma - ln(z^2 - g^2) = 0, the
     log-space form of (1 + g*sigma)*exp((g+z)*sigma) = z^2 - g^2.
+    The root lies above sigma_z, so a tolerance of 1e-13*sigma_z (capped
+    at 1e-15) resolves it however small it is.
     """
     g, z = params.g, params.z
     if z <= g_crit(g):
@@ -223,7 +225,7 @@ def sigma_c(params):
     hi = 1.0
     while h(hi) < 0.0:
         hi *= 2.0
-    return brentq(h, 1e-300, hi, xtol=1e-15)
+    return brentq(h, 1e-300, hi, xtol=min(1e-15, 1e-13 * sigma_z(params)))
 
 
 def phi_crit(params):
@@ -362,13 +364,13 @@ def _invert_monotone(target, params, lo, hi, increasing):
     (their cancellation at g = 0, large sigma, can defeat the other two).
     NonconvergenceError if any element is not done in _INVERSE_ITERS.
 
-    Only the distinct values of target are iterated on, and the results
-    are scattered back to every element that holds them.  This changes
-    no bit of the result: an element's iterates depend only on its own
-    target and on the common bracket, whose top is grown from the
-    largest target, which deduplication keeps.  Near-uniform profiles,
-    whose outer region repeats the bulk root at almost every node, need
-    a few hundred inversions instead of one per node.
+    Each run of equal consecutive values of target is iterated on once,
+    and the result is scattered back to every element of the run.  This
+    changes no bit of the result: an element's iterates depend only on
+    its own target and on the common bracket, whose top is grown from
+    the largest target, which deduplication keeps.  Solved profiles,
+    whose outer region repeats the bulk root at almost every node in one
+    long run, need a few hundred inversions instead of one per node.
     """
     target = np.asarray(target, dtype=float)
     if hi is None:
@@ -378,8 +380,11 @@ def _invert_monotone(target, params, lo, hi, increasing):
                 hi = lo + 2.0 * (hi - lo)
             if not np.isfinite(_phi_a(hi, params)):
                 raise DomainError("potential %.17g beyond phi_A's float range" % top)
-    shape = target.shape
-    target, back = np.unique(target.ravel(), return_inverse=True)
+    shape, flat = target.shape, target.ravel()
+    starts = np.empty(flat.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    target, back = flat[starts], np.cumsum(starts) - 1
     out, todo = np.empty(target.size), np.arange(target.size)
     lo, hi = (np.full(target.size, end, dtype=float) for end in (lo, hi))
     x = 0.5 * (lo + hi)
@@ -403,7 +408,7 @@ def _invert_monotone(target, params, lo, hi, increasing):
         todo, target, lo, hi, x = (a[~done] for a in (todo, target, lo, hi, x))
         if not todo.size:
             return out[back].reshape(shape)
-    raise NonconvergenceError("segment inverse: %d of %d distinct potentials "
+    raise NonconvergenceError("segment inverse: %d of %d potential runs "
                               "unconverged" % (todo.size, out.size))
 
 

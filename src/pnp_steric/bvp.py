@@ -9,14 +9,14 @@ on a uniform grid with second-order central differences inside and
 second-order one-sided stencils for the boundary derivatives, by damped
 Newton iteration at the target eps; f is increasing, so the discrete
 problem has one solution and Newton needs no continuation in eps to
-reach it.  Each Newton step is one banded LU solve with two bands on
-either side of the diagonal (the one-sided stencils reach two nodes
-in) and one segment inversion per steric pair: each residual
-evaluation takes f and f' together, and the Jacobian reuses the f' of
-the accepted iterate.  The inversion iterates once per distinct
-potential: outside the two layers nearly every node holds the bulk
-root, so at eps=1e-6 a residual on 22,640 nodes inverts 675-690
-potentials, and at eps=1e-8 on 226,320 nodes about as many.  The
+reach it.  Each Newton step is one tridiagonal solve, after one row
+operation per end removes the Robin corner (the one-sided stencils
+reach two nodes in), and one segment inversion per steric pair: each
+residual evaluation takes f and f' together, and the Jacobian reuses
+the f' of the accepted iterate.  The inversion iterates once per run of
+equal consecutive potentials: outside the two layers nearly every node
+holds the bulk root, so at eps=1e-6 a residual on 22,640 nodes inverts
+682-690 potentials, and at eps=1e-8 on 226,320 nodes about as many.  The
 companion routines verify the qualitative structure the maximum
 principle forces on the solution: classification against the bulk
 root, pointwise bounds, an exponential interior envelope, boundary
@@ -169,7 +169,9 @@ def _residual(phi, h, eps, rhs, bc):
 def _banded_jacobian(n, h, eps, fp, bc):
     """Jacobian J of the residual on n nodes, given f' at the interior ones.
 
-    solve_banded (2, 2) storage: ab[2 + i - j, j] = J[i, j].
+    solve_banded (2, 2) storage: ab[2 + i - j, j] = J[i, j].  Only the
+    Robin corners J[0, 2] and J[n-1, n-3] use the outer bands;
+    _solve_step eliminates them and solves the tridiagonal rest.
     """
     c = eps / (h * h)
     two_h = 2.0 * h
@@ -184,6 +186,24 @@ def _banded_jacobian(n, h, eps, fp, bc):
     ab[3, -2] = -4.0 * bc.eta / two_h
     ab[4, -3] = bc.eta / two_h
     return ab
+
+
+def _solve_step(ab, b):
+    """Solve J x = b, J in _banded_jacobian's storage; overwrites ab and b.
+
+    Row 0 minus m0 times row 1 (m0 = J[0, 2]/J[1, 2]) clears the corner
+    J[0, 2], and the mirror operation clears J[n-1, n-3]; then J is
+    tridiagonal.  For eta = 0 both multipliers are 0.
+    """
+    m0 = ab[0, 2] / ab[1, 2]
+    ab[2, 0] -= m0 * ab[3, 0]
+    ab[1, 1] -= m0 * ab[2, 1]
+    b[0] -= m0 * b[1]
+    m1 = ab[4, -3] / ab[3, -3]
+    ab[2, -1] -= m1 * ab[1, -1]
+    ab[3, -2] -= m1 * ab[2, -2]
+    b[-1] -= m1 * b[-2]
+    return solve_banded((1, 1), ab[1:4], b, overwrite_ab=True, overwrite_b=True)
 
 
 def _jacobian(phi, h, eps, rhs, bc):
@@ -216,7 +236,7 @@ def _newton(phi, h, eps, rhs, bc, domain, tol):
         floor = noise * max(1.0, float(np.max(np.abs(phi))))
         if norm <= max(tol, floor):
             return phi, norm, it - 1
-        delta = solve_banded((2, 2), _banded_jacobian(phi.size, h, eps, fp, bc), -res)
+        delta = _solve_step(_banded_jacobian(phi.size, h, eps, fp, bc), -res)
         lam = 1.0
         while True:
             trial = phi + lam * delta

@@ -160,9 +160,12 @@ def _pair(cfg, which="12"):
 
 
 def _species_config(cfg):
-    if cfg["species"] == "three":
-        return rhs.ThreeSpeciesConfig(_pair(cfg), cfg["z3"], cfg["rho0"])
-    return rhs.FourSpeciesConfig(_pair(cfg), _pair(cfg, "34"), cfg["rho0"])
+    try:
+        if cfg["species"] == "three":
+            return rhs.ThreeSpeciesConfig(_pair(cfg), cfg["z3"], cfg["rho0"])
+        return rhs.FourSpeciesConfig(_pair(cfg), _pair(cfg, "34"), cfg["rho0"])
+    except PnpStericError as exc:
+        raise ConfigError(str(exc))
 
 
 def _solve(cfg):

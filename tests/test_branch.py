@@ -131,6 +131,15 @@ class TestSigmaC:
         p = pair(1, 20)
         assert ps.sigma_z(p) < ps.sigma_c(p)
 
+    def test_tiny_turning_point_to_relative_precision(self):
+        # for g = 1, z = 1e154, g*sigma_c is far below rounding, so
+        # sigma_c = ln(z^2 - 1)/(1 + z) to double precision
+        p = pair(1, 1e154)
+        assert ps.sigma_c(p) == pytest.approx(
+            math.log(p.z * p.z - 1.0) / (1.0 + p.z), rel=1e-12
+        )
+        assert ps.sigma_z(p) < ps.sigma_c(p)
+
     def test_f_tilde_vanishes_at_sigma_c(self):
         p = pair(1, 20)
         sc = ps.sigma_c(p)
@@ -438,6 +447,54 @@ def test_inverse_result_is_independent_of_duplicates_and_order(
         return
     doubled = np.concatenate([phi, phi[::-1]])
     assert _same_bits(invert(doubled), np.concatenate([s, s[::-1]]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    g=st.floats(0.0, 3.0),
+    z_factor=st.floats(1.05, 20.0),
+    q=st.sampled_from([1.0, 2.0]),
+    segment=st.sampled_from(["A1", "A2", "B1", "B2", "unified"]),
+    levels=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.integers(1, 40), st.booleans()),
+        min_size=1,
+        max_size=8,
+    ),
+    descending=st.booleans(),
+)
+def test_inverse_of_plateaus_matches_elementwise_inversion(
+    g, z_factor, q, segment, levels, descending
+):
+    """Sorted potentials in runs of repeated values, as a solved profile
+    holds them (the bulk root over most of the grid, flanked by runs one
+    ulp away), invert bit for bit as each potential does on its own.  Each single inversion carries the
+    extreme potentials along, so its bracket is the full array's; equal
+    potentials invert alike, so each level is inverted once."""
+    if segment == "unified":
+        p = pair(g, 0.9 * ps.g_crit(g), q)
+        lo, hi = -4.0, 4.0
+        invert = lambda x: ps.unified_sigma(x, p)
+    else:
+        p = pair(g, z_factor * ps.g_crit(g), q)
+        pac = ps.phi_crit(p)
+        lo, hi = {
+            "A1": (-pac, pac + 10.0),
+            "A2": (-pac, 0.0),
+            "B1": (-pac - 10.0, pac),
+            "B2": (0.0, pac),
+        }[segment]
+        invert = lambda x: ps.inverse_sigma(x, p, segment)
+    values, counts = [], []
+    for u, count, neighbour in levels:
+        value = lo + u * (hi - lo)
+        values += [value, np.nextafter(value, lo)] if neighbour else [value]
+        counts += [count, 3] if neighbour else [count]
+    phi = np.sort(np.repeat(values, counts))
+    if descending:
+        phi = phi[::-1]
+    ends = [phi.min(), phi.max()]
+    single = {value: invert(np.array([value] + ends))[0] for value in set(phi)}
+    assert _same_bits(invert(phi), [single[value] for value in phi])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

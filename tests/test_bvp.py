@@ -141,6 +141,39 @@ class TestSolve:
             ) / (2.0 * step)
         assert np.max(np.abs(dense - fd)) <= 1e-7 * np.max(np.abs(fd))
 
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 3.0, 1e6])
+    def test_tridiagonal_step_solves_the_banded_system(self, three_species, eta):
+        n = 41
+        x = np.linspace(-1.0, 1.0, n)
+        h = x[1] - x[0]
+        c = three_species.root
+        phi = c + 0.2 * np.cos(2.0 * x) - 0.05 * x
+        bc = bvp.RobinBC(c + 0.3, c - 0.1, eta)
+        ab = bvp._jacobian(phi, h, 1e-2, three_species, bc)
+        dense = sum(
+            np.diag(ab[2 - k, max(k, 0):n + min(k, 0)], k) for k in range(-2, 3)
+        )
+        b = np.sin(3.0 * x) + 0.5
+        expected = np.linalg.solve(dense, b)
+        got = bvp._solve_step(ab, b.copy())
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_newton_solves_tridiagonal_systems_only(self, three_species, monkeypatch):
+        bands = []
+        solve_banded = bvp.solve_banded
+
+        def recording(l_and_u, *args, **kwargs):
+            bands.append(tuple(l_and_u))
+            return solve_banded(l_and_u, *args, **kwargs)
+
+        monkeypatch.setattr(bvp, "solve_banded", recording)
+        c = three_species.root
+        sol = bvp.solve(
+            bvp.BvpProblem(1e-3, three_species, bvp.RobinBC(c + 0.3, c - 0.1, 0.1))
+        )
+        assert sol.iterations >= 1
+        assert bands == [(1, 1)] * sol.iterations
+
     def test_data_near_the_domain_ends_solve(self):
         cfg = ps.ThreeSpeciesConfig(ps.TwoSpeciesParams(0.5, 10.0, 2.0), 1.0, 0.5)
         fn = ps.assemble_three_species(cfg, "A")

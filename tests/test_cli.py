@@ -57,10 +57,17 @@ class TestParseConfig:
             ["current", "--x1", "0.4", "--x2", "0.2"],
             ["solve", "--phi0-left", "nan"],
             ["solve", "--phi0-right", "inf"],
+            ["solve", "--rho0", "nan"],
+            ["solve", "--rho0", "inf"],
+            ["solve", "--z3", "-1"],
+            ["solve", "--z3", "nan"],
+            ["solve", "--species", "four", "--g2", "1", "--z2", "25",
+             "--rho0", "nan"],
         ],
         ids=["epsilon", "eta", "n_nodes", "d1", "d2", "d3", "d4", "charge_scale",
              "n_sigma_negative", "n_sigma_zero", "sigma_max", "x1_nan",
-             "x1_outside", "x2_inf", "window_order", "phi0_left", "phi0_right"],
+             "x1_outside", "x2_inf", "window_order", "phi0_left", "phi0_right",
+             "rho0_nan", "rho0_inf", "z3_negative", "z3_nan", "rho0_nan_four"],
     )
     def test_bad_numbers_are_configuration_errors(self, args, capsys):
         code, _, err = invoke(args + ["--g", "1", "--z", "40"], capsys)
@@ -125,6 +132,12 @@ class TestCritical:
         assert json.dumps(report, indent=2) + "\n" == out
         assert report["warnings"] == []
         assert report["config"]["mode"] == "critical"
+
+    def test_tiny_turning_point(self, capsys):
+        code, out, _ = invoke(["critical", "--g", "1", "--z", "1e154"], capsys)
+        assert code == 0
+        sz, _, sc, _ = (float(v) for v in out.strip().splitlines()[1].split(","))
+        assert sz < sc
 
     def test_csv_cells_are_full_precision(self, capsys):
         code, out, _ = invoke(["critical", "--g", "1", "--z", "20"], capsys)
