@@ -9,11 +9,14 @@ on a uniform grid with second-order central differences inside and
 second-order one-sided stencils for the boundary derivatives, by damped
 Newton iteration at the target eps; f is increasing, so the discrete
 problem has one solution and Newton needs no continuation in eps to
-reach it.  Each Newton step is one tridiagonal solve, after one row
-operation per end removes the Robin corner (the one-sided stencils
-reach two nodes in), and one segment inversion per steric pair: each
-residual evaluation takes f and f' together, and the Jacobian reuses
-the f' of the accepted iterate.  The inversion iterates once per run of
+reach it.  One function, _robin_row, holds the Robin row; the residual,
+the Newton step and the stability operator all read it.  Each Newton
+step is one LAPACK gtsv solve of a tridiagonal matrix written directly
+in its (3, n) storage, the Robin corner of each end row (the one-sided
+stencil reaches two nodes in) already removed by one row operation, and
+one segment inversion per steric pair: each residual evaluation takes f
+and f' together, and the Jacobian reuses the f' of the accepted
+iterate.  The inversion iterates once per run of
 equal consecutive potentials: outside the two layers nearly every node
 holds the bulk root, so at eps=1e-6 a residual on 22,640 nodes inverts
 682-690 potentials, and at eps=1e-8 on 226,320 nodes about as many.  The
@@ -132,7 +135,7 @@ def default_grid_size(epsilon, alpha0):
 def _sample_window(rhs, bc):
     """Potential window the solution can attain: data and root hull."""
     vals = [bc.phi0_left, bc.phi0_right]
-    if getattr(rhs, "root", None) is not None:
+    if rhs.root is not None:
         vals.append(rhs.root)
     return min(vals), max(vals)
 
@@ -144,71 +147,49 @@ def _min_derivative(rhs, lo, hi, n=401):
     return float(np.min(rhs.derivative(pts)))
 
 
+def _robin_row(h, eta):
+    """(a, b, d): the Robin row a*phi[0] + b*phi[1] + d*phi[2] = phi0_left.
+
+    phi(-1) - eta*phi'(-1) with the one-sided stencil (-3, 4, -1)/(2h);
+    the right end phi(1) + eta*phi'(1) is its mirror image, the same
+    coefficients on phi[-1], phi[-2], phi[-3].
+    """
+    k = eta / (2.0 * h)
+    return 1.0 + 3.0 * k, -4.0 * k, k
+
+
 def _residual_rows(phi, h, eps, f, bc):
     """Discrete residual, given f at the interior nodes phi[1:-1]."""
     r = np.empty_like(phi)
     r[1:-1] = eps * (phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) / (h * h) - f
-    two_h = 2.0 * h
-    r[0] = (
-        phi[0]
-        - bc.eta * (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / two_h
-        - bc.phi0_left
-    )
-    r[-1] = (
-        phi[-1]
-        + bc.eta * (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / two_h
-        - bc.phi0_right
-    )
+    a, b, d = _robin_row(h, bc.eta)
+    r[0] = a * phi[0] + b * phi[1] + d * phi[2] - bc.phi0_left
+    r[-1] = a * phi[-1] + b * phi[-2] + d * phi[-3] - bc.phi0_right
     return r
 
 
-def _residual(phi, h, eps, rhs, bc):
-    return _residual_rows(phi, h, eps, rhs(phi[1:-1]), bc)
+def _newton_step(h, eps, fp, bc, res):
+    """Newton step: solve J x = -res, J the Jacobian of _residual_rows.
 
-
-def _banded_jacobian(n, h, eps, fp, bc):
-    """Jacobian J of the residual on n nodes, given f' at the interior ones.
-
-    solve_banded (2, 2) storage: ab[2 + i - j, j] = J[i, j].  Only the
-    Robin corners J[0, 2] and J[n-1, n-3] use the outer bands;
-    _solve_step eliminates them and solves the tridiagonal rest.
+    J is tridiagonal but for the Robin corners J[0, 2] = J[n-1, n-3] = d.
+    Row 0 minus m = d/c times row 1 (c = eps/h^2) clears the first, the
+    mirror operation the second (m = 0 for eta = 0), and LAPACK gtsv
+    solves the rest: ab holds solve_banded's (1, 1) storage,
+    ab[1 + i - j, j] = J[i, j].
     """
     c = eps / (h * h)
-    two_h = 2.0 * h
-    ab = np.zeros((5, n))
-    ab[1, 1:] = c
-    ab[3, :-1] = c
-    ab[2, 1:-1] = -2.0 * c - fp
-    ab[2, 0] = 1.0 + 3.0 * bc.eta / two_h
-    ab[1, 1] = -4.0 * bc.eta / two_h
-    ab[0, 2] = bc.eta / two_h
-    ab[2, -1] = 1.0 + 3.0 * bc.eta / two_h
-    ab[3, -2] = -4.0 * bc.eta / two_h
-    ab[4, -3] = bc.eta / two_h
-    return ab
-
-
-def _solve_step(ab, b):
-    """Solve J x = b, J in _banded_jacobian's storage; overwrites ab and b.
-
-    Row 0 minus m0 times row 1 (m0 = J[0, 2]/J[1, 2]) clears the corner
-    J[0, 2], and the mirror operation clears J[n-1, n-3]; then J is
-    tridiagonal.  For eta = 0 both multipliers are 0.
-    """
-    m0 = ab[0, 2] / ab[1, 2]
-    ab[2, 0] -= m0 * ab[3, 0]
-    ab[1, 1] -= m0 * ab[2, 1]
-    b[0] -= m0 * b[1]
-    m1 = ab[4, -3] / ab[3, -3]
-    ab[2, -1] -= m1 * ab[1, -1]
-    ab[3, -2] -= m1 * ab[2, -2]
-    b[-1] -= m1 * b[-2]
-    return solve_banded((1, 1), ab[1:4], b, overwrite_ab=True, overwrite_b=True)
-
-
-def _jacobian(phi, h, eps, rhs, bc):
-    """Jacobian of _residual at phi in solve_banded (2, 2) storage."""
-    return _banded_jacobian(phi.size, h, eps, rhs.derivative(phi[1:-1]), bc)
+    a, b, d = _robin_row(h, bc.eta)
+    m = d / c
+    ab = np.empty((3, res.size))
+    ab[0] = ab[2] = c
+    ab[1, 1:-1] = -2.0 * c - fp
+    ab[1, 0] = ab[1, -1] = a - m * c
+    ab[0, 1] = b - m * ab[1, 1]
+    ab[2, -2] = b - m * ab[1, -2]
+    x = -res
+    x[0] -= m * x[1]
+    x[-1] -= m * x[-2]
+    return solve_banded((1, 1), ab, x, overwrite_ab=True, overwrite_b=True)
 
 
 def _newton(phi, h, eps, rhs, bc, domain, tol):
@@ -236,7 +217,7 @@ def _newton(phi, h, eps, rhs, bc, domain, tol):
         floor = noise * max(1.0, float(np.max(np.abs(phi))))
         if norm <= max(tol, floor):
             return phi, norm, it - 1
-        delta = _solve_step(_banded_jacobian(phi.size, h, eps, fp, bc), -res)
+        delta = _newton_step(h, eps, fp, bc, res)
         lam = 1.0
         while True:
             trial = phi + lam * delta
@@ -292,7 +273,7 @@ def solve(problem, initial=None):
         phi = np.array(initial, dtype=float)
         if phi.shape != nodes.shape:
             raise DomainError("initial guess must have %d nodes" % n)
-    elif getattr(rhs, "root", None) is not None:
+    elif rhs.root is not None:
         phi = np.full(n, float(rhs.root))
     else:
         phi = bc.phi0_left + (nodes + 1.0) * (bc.phi0_right - bc.phi0_left) / 2.0
@@ -306,9 +287,8 @@ def solve(problem, initial=None):
 
     phi, norm, iters = _newton(phi, h, eps, rhs, bc, (lo, hi), tol)
 
-    root = getattr(rhs, "root", None)
     sol = BvpSolution(nodes, phi, norm, iters, "", eps, bc)
-    sol.classification = classify_solution(sol, root)
+    sol.classification = classify_solution(sol, rhs.root)
     return sol
 
 
@@ -428,7 +408,7 @@ def boundary_layer_limits(rhs, c, bc, gamma):
     def quadrature(s):
         return adaptive_simpson(lambda t: float(rhs(np.asarray(t))), c, s)
 
-    if getattr(rhs, "primitive", None) is None:
+    if rhs.primitive is None:
         integral = quadrature
     else:
         base = float(rhs.antiderivative(c))
@@ -454,33 +434,31 @@ def boundary_layer_limits(rhs, c, bc, gamma):
 def linearized_smallest_eigenvalue(solution, rhs):
     """Smallest eigenvalue of -eps v'' + f'(phi) v with homogeneous data.
 
-    The homogeneous Robin conditions eliminate the boundary values in
-    favour of the first interior nodes, leaving an (n-2) x (n-2)
-    tridiagonal operator whose end rows carry the off-diagonal pairs
-    (-c + c*w, -c), c = eps/h^2 and w = eta/(2h + 3 eta) < 1/3.  Each
-    pair has a positive product, so a diagonal similarity makes the
-    operator symmetric with off-diagonal -c*sqrt(1 - w) there; the
-    bottom of its spectrum is then found by symmetric tridiagonal
-    bisection.
+    The homogeneous Robin rows (_robin_row) eliminate the boundary
+    values, v0 = -(b*v1 + d*v2)/a and its mirror, leaving an
+    (n-2) x (n-2) tridiagonal operator with main[0] += c*b/a and the
+    off-diagonal pairs (-c*(1 - d/a), -c) at its ends, c = eps/h^2 and
+    0 <= d/a < 1/3.  Each pair has a positive product, so a diagonal
+    similarity makes the operator symmetric with off-diagonal
+    -c*sqrt(1 - d/a) there; the bottom of its spectrum is then found by
+    symmetric tridiagonal bisection.
     """
     phi = solution.values
     x = solution.nodes
     h = x[1] - x[0]
     eps = solution.epsilon
-    eta = solution.bc.eta
     n = phi.size
     fp = np.asarray(rhs.derivative(phi[1:-1]), dtype=float)
     if fp.ndim == 0:
         fp = np.full(n - 2, float(fp))
 
     c = eps / (h * h)
-    # Eliminate v0 = eta*(4 v1 - v2)/(2h + 3 eta) and its mirror.
-    w = eta / (2.0 * h + 3.0 * eta)
+    a, b, d = _robin_row(h, solution.bc.eta)
     main = 2.0 * c + fp
-    main[0] -= c * 4.0 * w
-    main[-1] -= c * 4.0 * w
+    main[0] += c * b / a
+    main[-1] += c * b / a
     off = np.full(n - 3, -c)
-    off[0] = off[-1] = -c * math.sqrt(1.0 - w)
+    off[0] = off[-1] = -c * math.sqrt(1.0 - d / a)
     vals = eigh_tridiagonal(
         main, off, eigvals_only=True, select="i", select_range=(0, 0)
     )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 import pnp_steric as ps
 from pnp_steric import branch, bvp, current
@@ -115,48 +116,69 @@ class TestSolve:
             other = bvp.solve(problem, initial=guess)
             assert np.max(np.abs(other.values - base.values)) < 1e-8
 
-    @pytest.mark.parametrize("eta", [0.0, 0.1, 3.0])
-    def test_banded_jacobian_matches_finite_differences(self, three_species, eta):
-        n = 41
+    @staticmethod
+    def step_problem(fn, eta, n=41):
+        """A smooth non-solution profile with Robin data, and f' on it."""
         x = np.linspace(-1.0, 1.0, n)
-        h = x[1] - x[0]
-        eps = 1e-2
-        c = three_species.root
+        c = fn.root
         phi = c + 0.2 * np.cos(2.0 * x) - 0.05 * x
         bc = bvp.RobinBC(c + 0.3, c - 0.1, eta)
-        ab = bvp._jacobian(phi, h, eps, three_species, bc)
-        dense = np.zeros((n, n))
-        for k in range(-2, 3):
-            # diagonal k sits in row 2 - k of solve_banded's (2, 2) storage
-            band = ab[2 - k, max(k, 0):n + min(k, 0)]
-            dense += np.diag(band, k)
+        return x[1] - x[0], phi, bc, fn.derivative(phi[1:-1])
+
+    @staticmethod
+    def dense_jacobian(h, eps, fp, eta):
+        """J of the residual, row by row from the stencils."""
+        n = fp.size + 2
+        c = eps / (h * h)
+        J = np.zeros((n, n))
+        for i in range(1, n - 1):
+            J[i, i - 1 : i + 2] = (c, -2.0 * c - fp[i - 1], c)
+        # phi0 - eta*phi'(-1) and phi_end + eta*phi'(1), phi' from (-3, 4, -1)/(2h)
+        J[0, :3] = np.array([1.0, 0.0, 0.0]) - eta * np.array([-3.0, 4.0, -1.0]) / (2 * h)
+        J[-1, -3:] = np.array([0.0, 0.0, 1.0]) + eta * np.array([1.0, -4.0, 3.0]) / (2 * h)
+        return J
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 3.0])
+    def test_jacobian_matches_finite_differences(self, three_species, eta):
+        eps = 1e-2
+        h, phi, bc, fp = self.step_problem(three_species, eta)
+        n = phi.size
+
+        def residual(p):
+            return bvp._residual_rows(p, h, eps, three_species(p[1:-1]), bc)
+
         step = 1e-6
         fd = np.empty((n, n))
         for j in range(n):
             e = np.zeros(n)
             e[j] = step
-            fd[:, j] = (
-                bvp._residual(phi + e, h, eps, three_species, bc)
-                - bvp._residual(phi - e, h, eps, three_species, bc)
-            ) / (2.0 * step)
+            fd[:, j] = (residual(phi + e) - residual(phi - e)) / (2.0 * step)
+        dense = self.dense_jacobian(h, eps, fp, eta)
         assert np.max(np.abs(dense - fd)) <= 1e-7 * np.max(np.abs(fd))
 
     @pytest.mark.parametrize("eta", [0.0, 0.1, 3.0, 1e6])
-    def test_tridiagonal_step_solves_the_banded_system(self, three_species, eta):
-        n = 41
-        x = np.linspace(-1.0, 1.0, n)
-        h = x[1] - x[0]
-        c = three_species.root
-        phi = c + 0.2 * np.cos(2.0 * x) - 0.05 * x
-        bc = bvp.RobinBC(c + 0.3, c - 0.1, eta)
-        ab = bvp._jacobian(phi, h, 1e-2, three_species, bc)
-        dense = sum(
-            np.diag(ab[2 - k, max(k, 0):n + min(k, 0)], k) for k in range(-2, 3)
-        )
-        b = np.sin(3.0 * x) + 0.5
-        expected = np.linalg.solve(dense, b)
-        got = bvp._solve_step(ab, b.copy())
+    def test_newton_step_solves_the_dense_system(self, three_species, eta):
+        eps = 1e-2
+        h, phi, bc, fp = self.step_problem(three_species, eta)
+        res = np.sin(3.0 * np.linspace(-1.0, 1.0, phi.size)) + 0.5
+        expected = np.linalg.solve(self.dense_jacobian(h, eps, fp, eta), -res)
+        got = bvp._newton_step(h, eps, fp, bc, res.copy())
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_dirichlet_step_is_the_plain_tridiagonal_solve(self, three_species):
+        # eta = 0: no row operation may touch a bit of the Dirichlet system
+        eps = 1e-2
+        h, phi, bc, fp = self.step_problem(three_species, 0.0)
+        n = phi.size
+        res = np.sin(3.0 * np.linspace(-1.0, 1.0, n)) + 0.5
+        c = eps / (h * h)
+        ab = np.zeros((3, n))
+        ab[0, 2:] = c
+        ab[2, :-2] = c
+        ab[1] = np.concatenate(([1.0], -2.0 * c - fp, [1.0]))
+        expected = solve_banded((1, 1), ab, -res)
+        got = bvp._newton_step(h, eps, fp, bc, res.copy())
+        assert got.tobytes() == expected.tobytes()
 
     def test_newton_solves_tridiagonal_systems_only(self, three_species, monkeypatch):
         bands = []
