@@ -42,7 +42,6 @@ _MODES = ("critical", "branches", "solve", "current")
 
 # name -> (type, default); None defaults mean "derived later"
 _FIELDS = {
-    "mode": (str, None),
     "species": (str, "three"),
     "g": (float, 0.0),
     "z": (float, 0.0),
@@ -86,8 +85,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON configuration file")
     for name, (typ, _default) in _FIELDS.items():
-        if name == "mode":
-            continue
         common.add_argument(_flag(name), type=typ, default=None, dest=name)
 
     for mode in _MODES:
@@ -107,8 +104,6 @@ def parse_config(raw, mode):
     if unknown:
         raise ConfigError("unknown configuration keys: %s" % ", ".join(sorted(unknown)))
     for name, (typ, default) in _FIELDS.items():
-        if name == "mode":
-            continue
         value = raw.get(name)
         if value is None:
             cfg[name] = default
@@ -343,8 +338,6 @@ def _gather(args):
             raise ConfigError("config file must contain a JSON object")
         raw.update(file_cfg)
     for name in _FIELDS:
-        if name == "mode":
-            continue
         value = getattr(args, name, None)
         if value is not None:
             raw[name] = value
@@ -358,7 +351,7 @@ def _run_sweep(args):
     if base["out"] is None:
         raise ConfigError("sweep requires --out as a filename stem")
     param = args.param
-    if param not in _FIELDS or param in ("mode", "format", "out"):
+    if param not in _FIELDS or param in ("format", "out"):
         raise ConfigError("cannot sweep over %r" % param)
     typ = _FIELDS[param][0]
     try:

@@ -5,7 +5,12 @@ current routes (grid quadrature in x versus adaptive quadrature in
 sigma) share no code.
 """
 
+from .errors import NonconvergenceError
+
 __all__ = ["adaptive_simpson"]
+
+_ABS_FLOOR = 1e-12
+_MAX_DEPTH = 40
 
 
 def _simpson(f, a, fa, b, fb):
@@ -18,8 +23,13 @@ def _recurse(f, a, fa, b, fb, m, fm, whole, tol, depth):
     lm, flm, left = _simpson(f, a, fa, m, fm)
     rm, frm, right = _simpson(f, m, fm, b, fb)
     err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
+    if abs(err) <= 15.0 * tol:
         return left + right + err / 15.0
+    if depth <= 0:
+        raise NonconvergenceError(
+            "adaptive Simpson: panel [%.17g, %.17g] misses its tolerance %.3g "
+            "(error estimate %.3g) at depth %d" % (a, b, tol, err / 15.0, _MAX_DEPTH)
+        )
     half = 0.5 * tol
     return (
         _recurse(f, a, fa, m, fm, lm, flm, left, half, depth - 1)
@@ -27,19 +37,20 @@ def _recurse(f, a, fa, b, fb, m, fm, whole, tol, depth):
     )
 
 
-def adaptive_simpson(f, a, b, rel_tol=1e-8, abs_floor=1e-12, max_depth=40):
+def adaptive_simpson(f, a, b, rel_tol=1e-8):
     """Integrate f from a to b with Richardson-accelerated Simpson panels.
 
-    The per-panel tolerance is the larger of abs_floor and rel_tol times
-    a running magnitude estimate from the initial whole-interval panel;
-    recursion stops at max_depth.  Orientation-aware: swapped bounds
-    negate the result, equal bounds give 0.
+    The per-panel tolerance is the larger of _ABS_FLOOR and rel_tol times
+    a running magnitude estimate from the initial whole-interval panel.
+    A panel still missing its tolerance after _MAX_DEPTH halvings raises
+    NonconvergenceError.  Orientation-aware: swapped bounds negate the
+    result, equal bounds give 0.
     """
     if a == b:
         return 0.0
     if a > b:
-        return -adaptive_simpson(f, b, a, rel_tol, abs_floor, max_depth)
+        return -adaptive_simpson(f, b, a, rel_tol)
     fa, fb = f(a), f(b)
     m, fm, whole = _simpson(f, a, fa, b, fb)
-    tol = max(abs_floor, rel_tol * abs(whole))
-    return _recurse(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
+    tol = max(_ABS_FLOOR, rel_tol * abs(whole))
+    return _recurse(f, a, fa, b, fb, m, fm, whole, tol, _MAX_DEPTH)
