@@ -298,7 +298,8 @@ def phi_on_branch(sigma, params, branch):
     _check_branch(branch)
     sigma = np.asarray(sigma, dtype=float)
     if branch == "A":
-        out = _phi_a(sigma, params)
+        E, s, _ = _pair_state(sigma, params)
+        out = _phi_a(sigma, params, E, s)
     else:
         g, z, q = params.g, params.z, params.q
         s = _pair_state(sigma, params)[1]
@@ -328,15 +329,16 @@ def dphi_dsigma(sigma, params, branch):
     return out if out.ndim else float(out)
 
 
-def _phi_a(sigma, params, s=None):
-    """phi on branch A without the branch-name dispatch (array friendly).
+def _phi_a(sigma, params, E, s):
+    """phi on branch A from the pair state E, s at sigma (array friendly).
 
-    s is |c1 - c2| at sigma when the caller already has it.
+    (g+z)*sigma/2 + (g-z)*s/2 is summed as g*big/2 + 2*z*E/big with
+    big = sigma + s = 2*c1 (sigma - s = 4*E/big): two positive terms, so
+    nothing cancels when g << z.
     """
     g, z, q = params.g, params.z, params.q
-    if s is None:
-        s = _pair_state(sigma, params)[1]
-    return (np.log(0.5 * (sigma + s)) + 0.5 * (g + z) * sigma + 0.5 * (g - z) * s) / q
+    big = sigma + s
+    return (np.log(0.5 * big) + 0.5 * g * big + 2.0 * z * E / big) / q
 
 
 def _phi_a_and_slope(sigma, params):
@@ -345,10 +347,10 @@ def _phi_a_and_slope(sigma, params):
     The slope is +inf at sigma_z (s = 0); a 0/0 slope comes back as nan,
     silently, for the caller's bracket logic to reject.
     """
-    _, s, tilde = _pair_state(sigma, params)
+    E, s, tilde = _pair_state(sigma, params)
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = tilde / (params.q * s)
-    return _phi_a(sigma, params, s), slope
+    return _phi_a(sigma, params, E, s), slope
 
 
 def _invert_monotone(target, params, lo, hi, increasing):
@@ -360,8 +362,7 @@ def _invert_monotone(target, params, lo, hi, increasing):
     step leaves the bracket.  An element is done once its bracket is at
     most tol = 1e-14*max(1, hi) wide, or its Newton step stays in the
     bracket (ends included) and moves at most tol, or |phi_A - target| is
-    at the rounding level 8*eps*(g+z)*max(1, sigma)/q of phi_A's terms
-    (their cancellation at g = 0, large sigma, can defeat the other two).
+    at the rounding level 8*eps*max(1, |target|) of phi_A.
     NonconvergenceError if any element is not done in _INVERSE_ITERS.
 
     Each run of equal consecutive values of target is iterated on once,
@@ -376,9 +377,9 @@ def _invert_monotone(target, params, lo, hi, increasing):
     if hi is None:
         top, hi = float(np.max(target)), lo + 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            while _phi_a(hi, params) < top:
+            while _phi_a_and_slope(hi, params)[0] < top:
                 hi = lo + 2.0 * (hi - lo)
-            if not np.isfinite(_phi_a(hi, params)):
+            if not np.isfinite(_phi_a_and_slope(hi, params)[0]):
                 raise DomainError("potential %.17g beyond phi_A's float range" % top)
     shape, flat = target.shape, target.ravel()
     starts = np.empty(flat.size, dtype=bool)
@@ -389,7 +390,7 @@ def _invert_monotone(target, params, lo, hi, increasing):
     lo, hi = (np.full(target.size, end, dtype=float) for end in (lo, hi))
     x = 0.5 * (lo + hi)
     sgn = 1.0 if increasing else -1.0
-    rounding = 8.0 * np.finfo(float).eps * (params.g + params.z) / params.q
+    rounding = 8.0 * np.finfo(float).eps
     for _ in range(_INVERSE_ITERS):
         phi, slope = _phi_a_and_slope(x, params)
         resid = phi - target
@@ -400,7 +401,7 @@ def _invert_monotone(target, params, lo, hi, increasing):
             step = x - resid / slope
         tol = 1e-14 * np.maximum(1.0, hi)
         settled = (step >= lo) & (step <= hi) & (np.abs(step - x) <= tol)
-        level = np.abs(resid) <= rounding * np.maximum(1.0, x)
+        level = np.abs(resid) <= rounding * np.maximum(1.0, np.abs(target))
         inside = (step > lo) & (step < hi)  # False for nan and inf steps
         x = np.where(settled | inside, step, np.where(level, x, 0.5 * (lo + hi)))
         done = settled | level | (hi - lo <= tol)

@@ -1,5 +1,6 @@
 """Unit tests for the two-species branch algebra."""
 
+import decimal
 import math
 
 import numpy as np
@@ -336,16 +337,36 @@ class TestInverses:
     @pytest.mark.parametrize(
         "invert",
         [
-            lambda: ps.inverse_sigma(22.5, pair(0, 5.436563656918089, 3), "A1"),
-            lambda: ps.unified_sigma(22.5, pair(0, 2, 3)),
+            lambda: ps.inverse_sigma(250.0, pair(0, 5.436563656918089, 3), "A1"),
+            lambda: ps.unified_sigma(250.0, pair(0, 2, 3)),
         ],
         ids=["A1", "unified"],
     )
     def test_potential_beyond_float_range_rejected(self, invert):
-        # phi_A at g = 0 rounds to 0 for large sigma and is nan once
-        # sigma^2 overflows, so no float sigma reaches phi = 22.5
+        # at g = 0 phi = 250 needs sigma = 2*exp(q*phi) = 2*exp(750), beyond
+        # the largest float; phi_A turns nan once sigma^2 overflows
         with pytest.raises(DomainError):
             invert()
+
+    @pytest.mark.parametrize("z", [20.0, 1000.0])
+    def test_large_potentials_match_a_decimal_reference(self, z):
+        # at g = 0, (g+z)*sigma/2 and (g-z)*s/2 cancel to e^-(z*sigma);
+        # phi_A must not inherit their rounding (once 2.8e-5 relative)
+        def phi_a(sigma):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                sig, zd = decimal.Decimal(float(sigma)), decimal.Decimal(z)
+                E = (-zd * sig).exp()
+                s = (sig * sig - 4 * E).sqrt()
+                return float(((sig + s) / 2).ln() + zd * (sig - s) / 2)
+
+        p = pair(0.0, z)
+        phi = np.linspace(1.0, 25.0, 25)
+        sig = ps.inverse_sigma(phi, p, "A1")
+        ref = np.array([phi_a(v) for v in sig])
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(ps.phi_on_branch(sig, p, "A") - ref) / ref) <= 4 * eps
+        assert np.max(np.abs(ref - phi) / phi) <= 16 * eps
 
     def test_beyond_outer_segment_end_is_branch_mismatch(self):
         p = pair(1, 20)
