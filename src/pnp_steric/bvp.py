@@ -9,25 +9,25 @@ on a uniform grid with second-order central differences inside and
 second-order one-sided stencils for the boundary derivatives, by damped
 Newton iteration at the target eps; f is increasing, so the discrete
 problem has one solution and Newton needs no continuation in eps to
-reach it.  One function, _robin_row, holds the Robin row; the residual,
-the Newton step and the stability operator all read it.  Each Newton
-step is one LAPACK gtsv solve of a tridiagonal matrix written directly
-in its (3, n) storage, the Robin corner of each end row (the one-sided
+reach it.  _robin_row alone holds the Robin row; the residual, the
+Newton step and the stability operator all read it.  Each Newton step
+is one LAPACK gtsv solve of a tridiagonal matrix written directly in
+its (3, n) storage, the Robin corner of each end row (the one-sided
 stencil reaches two nodes in) already removed by one row operation, and
 one segment inversion per steric pair: each residual evaluation takes f
 and f' together, and the Jacobian reuses the f' of the accepted
-iterate.  The inversion iterates once per run of
-equal consecutive potentials: outside the two layers nearly every node
-holds the bulk root, so at eps=1e-6 a residual on 22,640 nodes inverts
-682-690 potentials, and at eps=1e-8 on 226,320 nodes about as many.  The
+iterate.  The inversion iterates once per run of equal consecutive
+potentials: outside the two layers nearly every node holds the bulk
+root, so at eps=1e-6 a residual on 22,640 nodes inverts 682-690
+potentials, and at eps=1e-8 on 226,320 nodes about as many.  The
 companion routines verify the qualitative structure the maximum
 principle forces on the solution: classification against the bulk
 root, pointwise bounds, an exponential interior envelope, boundary
 layer limits (from the closed-form primitive of f when the right-hand
 side carries one, by adaptive Simpson quadrature of f otherwise),
-linearised stability (the bottom eigenvalue of the
-symmetrised tridiagonal operator, by bisection), and unbounded growth
-when f has no root.
+linearised stability (the bottom eigenvalue of the symmetrised
+tridiagonal operator, by bisection), and unbounded growth when f has no
+root.
 """
 
 import math

@@ -14,8 +14,18 @@ def test_smooth_integrand_and_orientation():
     assert adaptive_simpson(math.exp, 0.5, 0.5) == 0.0
 
 
-def test_unmet_tolerance_raises():
-    # a jump off every dyadic point: the panel holding it keeps an error of
-    # a quarter of its width, which halves no faster than its tolerance
+@pytest.mark.parametrize(
+    "f",
+    [
+        # a jump off every dyadic point: the panel holding it keeps an error
+        # of a quarter of its width, which halves no faster than its tolerance
+        lambda t: 1.0 if t < 1.0 / 3.0 else 0.0,
+        # no panel meets a nan tolerance test; the first one to reach the
+        # depth limit raises, before 2^40 panels are visited
+        lambda t: math.nan,
+    ],
+    ids=["jump", "nan"],
+)
+def test_unmet_tolerance_raises(f):
     with pytest.raises(NonconvergenceError):
-        adaptive_simpson(lambda t: 1.0 if t < 1.0 / 3.0 else 0.0, 0.0, 1.0)
+        adaptive_simpson(f, 0.0, 1.0)
