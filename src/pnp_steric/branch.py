@@ -54,7 +54,11 @@ _SEGMENTS = ("A1", "A2", "B1", "B2")
 # to roundoff.
 _ENDPOINT_SLACK = 1e-12
 
-_INVERSE_ITERS = 120  # segment inverse cap; a typical element needs 6
+# Segment inverse cap.  A typical element needs 6 iterations, but one
+# whose Newton steps leave the common bracket bisects it: from the top of
+# the float range down to a width of 1e-14 takes log2(1.8e308/1e-14),
+# about 1,071 halvings.
+_INVERSE_ITERS = 1100
 _LAMBERT_ITERS = 20  # Halley cap for _lambert_w; it needs at most about 5
 _CACHE_SIZE = 128  # entries per constant cache; a sweep batch uses ~24 pairs
 
@@ -228,6 +232,7 @@ def sigma_c(params):
     return brentq(h, 1e-300, hi, xtol=min(1e-15, 1e-13 * sigma_z(params)))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def phi_crit(params):
     """Potential magnitude at the turning point (positive).
 
@@ -253,7 +258,7 @@ def _pair_state(sigma, params):
     E = np.exp(-(g + z) * sigma)
     d = sigma * sigma - 4.0 * E
     bad = d < 0.0
-    if np.any(bad):
+    if bad.any():
         sz = sigma_z(params)
         if np.all(sigma[bad] >= sz * (1.0 - _ENDPOINT_SLACK)):
             d = np.where(bad, 0.0, d)
@@ -353,6 +358,20 @@ def _phi_a_and_slope(sigma, params):
     return _phi_a(sigma, params, E, s), slope
 
 
+def _runs(flat):
+    """(run_values, back) of a 1-D array: flat == run_values[back].
+
+    run_values holds the first value of each run of equal consecutive
+    elements (0.0 and -0.0 are equal, nan never is), in order.
+    """
+    starts = np.empty(flat.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    back = np.cumsum(starts)
+    back -= 1
+    return flat[starts], back
+
+
 def _invert_monotone(target, params, lo, hi, increasing):
     """Solve phi_A(sigma) = target for sigma on [lo, hi], elementwise.
 
@@ -365,50 +384,52 @@ def _invert_monotone(target, params, lo, hi, increasing):
     at the rounding level 8*eps*max(1, |target|) of phi_A.
     NonconvergenceError if any element is not done in _INVERSE_ITERS.
 
-    Each run of equal consecutive values of target is iterated on once,
-    and the result is scattered back to every element of the run.  This
-    changes no bit of the result: an element's iterates depend only on
-    its own target and on the common bracket, whose top is grown from
-    the largest target, which deduplication keeps.  Solved profiles,
-    whose outer region repeats the bulk root at almost every node in one
-    long run, need a few hundred inversions instead of one per node.
+    Each run of equal consecutive values of target (_runs) is iterated
+    on once, and the result is scattered back to every element of the
+    run.  This changes no bit of the result: an element's iterates
+    depend only on its own target and on the common bracket, whose top
+    is grown from the largest target, which deduplication keeps.  Solved
+    profiles, whose outer region repeats the bulk root at almost every
+    node in one long run, need a few hundred inversions instead of one
+    per node.
     """
     target = np.asarray(target, dtype=float)
     if hi is None:
         top, hi = float(np.max(target)), lo + 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            while _phi_a_and_slope(hi, params)[0] < top:
+            while (phi_hi := phi_on_branch(hi, params, "A")) < top:
                 hi = lo + 2.0 * (hi - lo)
-            if not np.isfinite(_phi_a_and_slope(hi, params)[0]):
-                raise DomainError("potential %.17g beyond phi_A's float range" % top)
-    shape, flat = target.shape, target.ravel()
-    starts = np.empty(flat.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
-    target, back = flat[starts], np.cumsum(starts) - 1
+        if not np.isfinite(phi_hi):
+            raise DomainError("potential %.17g beyond phi_A's float range" % top)
+    shape = target.shape
+    target, back = _runs(target.ravel())
     out, todo = np.empty(target.size), np.arange(target.size)
     lo, hi = (np.full(target.size, end, dtype=float) for end in (lo, hi))
     x = 0.5 * (lo + hi)
-    sgn = 1.0 if increasing else -1.0
-    rounding = 8.0 * np.finfo(float).eps
-    for _ in range(_INVERSE_ITERS):
-        phi, slope = _phi_a_and_slope(x, params)
-        resid = phi - target
-        below = sgn * resid < 0.0
-        lo = np.where(below, x, lo)
-        hi = np.where(below, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    rounding = 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(target))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_INVERSE_ITERS):
+            phi, slope = _phi_a_and_slope(x, params)
+            resid = phi - target
+            below = resid < 0.0 if increasing else resid > 0.0
+            lo = np.where(below, x, lo)
+            hi = np.where(below, hi, x)
             step = x - resid / slope
-        tol = 1e-14 * np.maximum(1.0, hi)
-        settled = (step >= lo) & (step <= hi) & (np.abs(step - x) <= tol)
-        level = np.abs(resid) <= rounding * np.maximum(1.0, np.abs(target))
-        inside = (step > lo) & (step < hi)  # False for nan and inf steps
-        x = np.where(settled | inside, step, np.where(level, x, 0.5 * (lo + hi)))
-        done = settled | level | (hi - lo <= tol)
-        out[todo[done]] = x[done]
-        todo, target, lo, hi, x = (a[~done] for a in (todo, target, lo, hi, x))
-        if not todo.size:
-            return out[back].reshape(shape)
+            tol = 1e-14 * np.maximum(1.0, hi)
+            settled = (step >= lo) & (step <= hi) & (np.abs(step - x) <= tol)
+            level = np.abs(resid) <= rounding
+            inside = (step > lo) & (step < hi)  # False for nan and inf steps
+            x = np.where(settled | inside, step, np.where(level, x, 0.5 * (lo + hi)))
+            done = settled | level | (hi - lo <= tol)
+            if not done.any():
+                continue
+            out[todo[done]] = x[done]
+            if done.all():
+                return out[back].reshape(shape)
+            keep = ~done
+            todo, target, rounding, lo, hi, x = (
+                a[keep] for a in (todo, target, rounding, lo, hi, x)
+            )
     raise NonconvergenceError("segment inverse: %d of %d potential runs "
                               "unconverged" % (todo.size, out.size))
 
@@ -417,7 +438,7 @@ def _clamp_to(value, lo, hi, scale):
     """Clamp values within roundoff slack of [lo, hi]; BranchMismatchError beyond."""
     slack = _ENDPOINT_SLACK * max(1.0, abs(scale))
     value = np.asarray(value, dtype=float)
-    if np.any(value < lo - slack) or np.any(value > hi + slack):
+    if (value < lo - slack).any() or (value > hi + slack).any():
         raise BranchMismatchError(
             "potential outside the segment range [%.17g, %.17g] (of -phi on "
             "B segments)" % (lo, hi)
@@ -428,7 +449,7 @@ def _clamp_to(value, lo, hi, scale):
 def _finite_potentials(phi):
     """phi as a float array; DomainError if any entry is nan or infinite."""
     phi = np.asarray(phi, dtype=float)
-    if not np.all(np.isfinite(phi)):
+    if not np.isfinite(phi).all():
         raise DomainError("potential must be finite")
     return phi
 
@@ -472,7 +493,7 @@ def inverse_sigma(phi, params, segment):
     # end is the segment's lowest potential, so it never sets hi)
     out = np.full(phi.shape, sc)
     free = phi != -pac
-    if np.any(free):
+    if free.any():
         out[free] = _invert_monotone(phi[free], params, lo, hi, increasing)
     return out if out.ndim else float(out)
 
@@ -513,10 +534,8 @@ def c_diff_and_slope_on_segment(phi, params, segment):
     g, z, q = params.g, params.z, params.q
     sig = np.asarray(inverse_sigma(phi, params, segment), dtype=float)
     E, s, tilde = _pair_state(sig, params)
-    # |f_tilde| in place: tilde is this call's own, and one more full-grid
-    # temporary per Newton residual shows as page faults in the solve
     with np.errstate(divide="ignore"):
-        slope = q * (sig + 2.0 * (g + z) * E) / np.abs(tilde, out=np.asarray(tilde))
+        slope = q * (sig + 2.0 * (g + z) * E) / np.abs(tilde)
     return (s if segment == "A1" else -s), (slope if slope.ndim else float(slope))
 
 

@@ -16,18 +16,18 @@ its (3, n) storage, the Robin corner of each end row (the one-sided
 stencil reaches two nodes in) already removed by one row operation, and
 one segment inversion per steric pair: each residual evaluation takes f
 and f' together, and the Jacobian reuses the f' of the accepted
-iterate.  The inversion iterates once per run of equal consecutive
-potentials: outside the two layers nearly every node holds the bulk
-root, so at eps=1e-6 a residual on 22,640 nodes inverts 682-690
-potentials, and at eps=1e-8 on 226,320 nodes about as many.  The
-companion routines verify the qualitative structure the maximum
-principle forces on the solution: classification against the bulk
-root, pointwise bounds, an exponential interior envelope, boundary
-layer limits (from the closed-form primitive of f when the right-hand
-side carries one, by adaptive Simpson quadrature of f otherwise),
-linearised stability (the bottom eigenvalue of the symmetrised
-tridiagonal operator, by bisection), and unbounded growth when f has no
-root.
+iterate.  The right-hand side evaluates f and f' once per run of equal
+consecutive potentials: outside the two layers nearly every node holds
+the bulk root, so at eps=1e-6 a residual on 22,640 nodes evaluates f
+per run, at 682-690 potentials, and at eps=1e-8 on 226,320 nodes at
+about as many.  The companion routines verify the qualitative
+structure the maximum principle forces on the solution: classification
+against the bulk root, pointwise bounds, an exponential interior
+envelope, boundary layer limits (from the closed-form primitive of f
+when the right-hand side carries one, by adaptive Simpson quadrature of
+f otherwise), linearised stability (the bottom eigenvalue of the
+symmetrised tridiagonal operator, by bisection), and unbounded growth
+when f has no root.
 """
 
 import math
@@ -278,11 +278,8 @@ def solve(problem, initial=None):
     else:
         phi = bc.phi0_left + (nodes + 1.0) * (bc.phi0_right - bc.phi0_left) / 2.0
 
-    fscale = max(
-        1.0,
-        abs(float(rhs(np.asarray(bc.phi0_left)))),
-        abs(float(rhs(np.asarray(bc.phi0_right)))),
-    )
+    f_data = rhs(np.array([bc.phi0_left, bc.phi0_right]))
+    fscale = max(1.0, float(np.max(np.abs(f_data))))
     tol = 1e-10 * fscale
 
     phi, norm, iters = _newton(phi, h, eps, rhs, bc, (lo, hi), tol)

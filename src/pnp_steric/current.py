@@ -133,16 +133,20 @@ def pointwise_current(solution, config, diffusion, label):
     """Excess current density I(x) = e * sum_pairs q * i(sigma(phi)) * dphi/dx.
 
     Each steric pair rides the segment given by rhs.charge_terms; the
-    steric-free Boltzmann ions carry no excess current.
+    steric-free Boltzmann ions carry no excess current.  The factor
+    sum_pairs q * i(sigma(phi)) is evaluated once per run of equal
+    consecutive potentials and scattered back before it multiplies
+    dphi/dx.
     """
     x, phi = _nodes_values(solution)
     pairs, _, _ = rhs.charge_terms(config, label)
     d_pairs = _pair_diffusions(diffusion, len(pairs))
+    runs, back = branch._runs(phi)
     total = 0.0
     for (pair, lab), d_pair in zip(pairs, d_pairs):
-        sig = branch.inverse_sigma(phi, pair, lab + "1")
+        sig = branch.inverse_sigma(runs, pair, lab + "1")
         total = total + pair.q * _pair_current_factor(sig, pair, d_pair, lab)
-    values = total * diffusion.charge_scale * grid_derivative(x, phi)
+    values = total[back] * diffusion.charge_scale * grid_derivative(x, phi)
     return CurrentProfile(x, values)
 
 

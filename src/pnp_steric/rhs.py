@@ -103,8 +103,13 @@ class RhsFunction:
     evaluator / derivative : vectorised callables for f and f'
     combined : optional vectorised callable phi -> (f, f'), cheaper than
         evaluator and derivative apart (assemble builds both halves from
-        it); None for hand-built probes.  Replacing evaluator/derivative
-        alone leaves combined in charge of value_and_derivative.
+        it).  It evaluates f and f' once per run of equal consecutive
+        potentials and scatters them back, so a solved profile, the bulk
+        root at nearly every node, costs a few hundred evaluations; each
+        node gets the bits it would get alone with the array's extreme
+        potentials (which set the inverse's bracket) alongside.  None
+        for hand-built probes.  Replacing evaluator/derivative alone
+        leaves combined in charge of value_and_derivative.
     primitive : optional vectorised antiderivative P of f, P' = f, in
         closed form from one segment inversion per pair (see assemble);
         None for hand-built probes.
@@ -232,16 +237,19 @@ def assemble(config, label):
             )
 
     def combined(phi):
+        phi = np.asarray(phi, dtype=float)
+        runs, back = branch._runs(phi.ravel())
         f = fp = 0.0
         for pair, segment in segments:
-            diff, slope = branch.c_diff_and_slope_on_segment(phi, pair, segment)
+            diff, slope = branch.c_diff_and_slope_on_segment(runs, pair, segment)
             f = f + pair.q * diff
             fp = fp + pair.q * slope
         for z in valences:
-            boltzmann = np.exp(-z * phi)
+            boltzmann = np.exp(-z * runs)
             f = f - z * boltzmann
             fp = fp + z * z * boltzmann
-        return f + background, fp
+        f = f + background
+        return f[back].reshape(phi.shape), fp[back].reshape(phi.shape)
 
     def primitive(phi):
         p = background * phi

@@ -149,7 +149,7 @@ class TestSigmaC:
 
 
 class TestConstantCaches:
-    CACHED = (branch.sigma_z, branch.g_crit, branch.sigma_c)
+    CACHED = (branch.sigma_z, branch.g_crit, branch.sigma_c, branch.phi_crit)
 
     def test_g_crit_probes_leave_sigma_z_cache_alone(self):
         before = branch.sigma_z.cache_info()
@@ -161,7 +161,7 @@ class TestConstantCaches:
         size = max(fn.cache_info().maxsize for fn in self.CACHED)
         for k in range(2 * size):
             p = pair(0.3 + 1e-4 * k, 30.0 + 1e-3 * k)
-            ps.sigma_c(p)
+            ps.phi_crit(p)
             ps.sigma_z(p)
         for fn in self.CACHED:
             info = fn.cache_info()
@@ -381,6 +381,19 @@ class TestInverses:
         monkeypatch.setattr(branch, "_INVERSE_ITERS", 3)
         with pytest.raises(NonconvergenceError):
             ps.inverse_sigma(np.linspace(-0.5, 2.0, 50), pair(1, 20), "A1")
+
+    @pytest.mark.parametrize("top", [80.0, 150.0, 354.0])
+    def test_small_targets_converge_under_a_float_range_bracket(self, top):
+        # at g = 0 the bracket grown for the largest potential reaches
+        # sigma = 2*exp(3*top), up to about 1e308 at top = 354; a small
+        # target whose Newton steps leave it bisects down from there,
+        # about 1,070 halvings
+        p = pair(0.0, 20.0)
+        phi = np.linspace(0.0, top, 200)
+        sig = ps.inverse_sigma(phi, p, "A1")
+        back = ps.phi_on_branch(sig, p, "A")
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(back - phi) / np.maximum(1.0, phi)) <= 4 * eps
 
     @pytest.mark.parametrize("segment", ["A1", "A2", "B1", "B2"])
     def test_turning_point_end_is_pinned_without_iterating(self, monkeypatch, segment):

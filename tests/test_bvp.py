@@ -216,8 +216,11 @@ class TestSolve:
 
     def test_one_segment_inversion_per_newton_step(self, monkeypatch):
         # f and f' come from one inversion per residual; the Jacobian reuses
-        # the accepted iterate's f' instead of inverting again.  One pair on
-        # A1, so no B -> A recursion is counted twice.
+        # the accepted iterate's f' instead of inverting again.  Besides the
+        # residuals, the set-up inverts once for the grid's slope window and
+        # once for the pair of data.  Each inversion takes one potential per
+        # run, a few hundred on 22,640 nodes.  One pair on A1, so no B -> A
+        # recursion is counted twice.
         cfg = ps.ThreeSpeciesConfig(ps.TwoSpeciesParams(1.0, 40.0, 1.0), 1.0, 0.5)
         fn = ps.assemble_three_species(cfg, "A")
         c = fn.root
@@ -231,7 +234,9 @@ class TestSolve:
 
         monkeypatch.setattr(branch, "inverse_sigma", counting)
         sol = bvp.solve(problem)
-        assert sizes.count(sol.nodes.size - 2) == sol.iterations + 1
+        assert sol.nodes.size > 20000
+        assert len(sizes) == 1 + 1 + sol.iterations + 1
+        assert max(sizes) <= 1000
 
     def test_large_eta_is_the_neumann_limit(self):
         # Robin rows carry rounding of order macheps*eta/h; the stopping

@@ -1,5 +1,6 @@
 """Unit tests for the reduced right-hand side assembly."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pnp_steric as ps
+from pnp_steric import current
 from pnp_steric.errors import (
     DomainError,
     NoIntersectionError,
@@ -224,3 +226,92 @@ def test_antiderivative_checks_the_domain():
     fn = ps.assemble(CONFIG, "A")
     with pytest.raises(DomainError):
         fn.antiderivative(fn.domain[0] - 0.5)
+
+
+_RUN_CASES = [
+    (CONFIG, "A"),
+    (CONFIG, "B"),
+    (ps.FourSpeciesConfig(TestFourSpecies.P12, TestFourSpecies.P34, -0.3), "A"),
+    (ps.FourSpeciesConfig(TestFourSpecies.P12, TestFourSpecies.P34, -0.3), "B"),
+]
+_RUN_DIFFUSION = ps.DiffusionSet((1.0, 2.0, 1.0, 0.5), 1.5)
+
+
+@functools.lru_cache(maxsize=None)
+def _run_case(case):
+    config, label = _RUN_CASES[case]
+    return config, label, ps.assemble(config, label)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _current_factor(value, ends, config, label):
+    """sum_pairs q*i(sigma(phi)) at one potential, the ends carried along."""
+    pairs, _, _ = ps.charge_terms(config, label)
+    d = _RUN_DIFFUSION.coefficients
+    total = 0.0
+    for j, (pair, lab) in enumerate(pairs):
+        sig = ps.inverse_sigma(np.array([value] + ends), pair, lab + "1")[0]
+        factor = current._pair_current_factor(sig, pair, d[2 * j : 2 * j + 2], lab)
+        total = total + pair.q * factor
+    return total
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.sampled_from(range(len(_RUN_CASES))),
+    levels=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.integers(1, 40), st.booleans()),
+        min_size=1,
+        max_size=8,
+    ),
+    zeros=st.booleans(),
+    descending=st.booleans(),
+    scalar=st.booleans(),
+)
+def test_run_based_evaluation_matches_per_node_evaluation(
+    case, levels, zeros, descending, scalar
+):
+    """f, f' and the pointwise current of a plateau profile (runs of one
+    potential, flanked by runs one ulp away, and 0.0 beside -0.0) are bit
+    for bit those of each node taken alone.  Each single evaluation
+    carries the extreme potentials along, so its inversion bracket is the
+    whole array's; 0-d input gives 0-d output."""
+    config, label, fn = _run_case(case)
+    lo, hi = fn.domain
+    values, counts = [], []
+    for u, count, neighbour in levels:
+        value = lo + u * (hi - lo)
+        values += [value, np.nextafter(value, lo)] if neighbour else [value]
+        counts += [count, 3] if neighbour else [count]
+    phi = np.sort(np.repeat(values, counts))
+    if zeros and lo < 0.0 < hi:
+        at = np.searchsorted(phi, 0.0)
+        phi = np.concatenate([phi[:at], [0.0, -0.0, -0.0, 0.0], phi[at:]])
+    if descending:
+        phi = phi[::-1]
+    if scalar:
+        phi = np.asarray(phi[0])
+    ends = [phi.min(), phi.max()]
+    single = {}
+    for value in phi.ravel():
+        if _bits(value) not in single:
+            f, fp = fn.value_and_derivative(np.array([value] + ends))
+            factor = _current_factor(value, ends, config, label)
+            single[_bits(value)] = (f[0], fp[0], factor)
+
+    def per_node(k):
+        return np.array([single[_bits(v)][k] for v in phi.ravel()]).reshape(phi.shape)
+
+    f, fp = fn.value_and_derivative(phi)
+    for got, want in ((f, per_node(0)), (fp, per_node(1)),
+                      (fn(phi), per_node(0)), (fn.derivative(phi), per_node(1))):
+        assert np.ndim(got) == phi.ndim and _bits(got) == _bits(want)
+    if scalar or phi.size < 3:
+        return
+    x = np.linspace(-1.0, 1.0, phi.size)
+    profile = current.pointwise_current((x, phi), config, _RUN_DIFFUSION, label)
+    want = per_node(2) * _RUN_DIFFUSION.charge_scale * current.grid_derivative(x, phi)
+    assert _bits(profile.values) == _bits(want)
