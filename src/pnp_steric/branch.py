@@ -55,10 +55,11 @@ _SEGMENTS = ("A1", "A2", "B1", "B2")
 _ENDPOINT_SLACK = 1e-12
 
 # Segment inverse cap.  A typical element needs 6 iterations, but one
-# whose Newton steps leave the common bracket bisects it: from the top of
-# the float range down to a width of 1e-14 takes log2(1.8e308/1e-14),
-# about 1,071 halvings.
-_INVERSE_ITERS = 1100
+# whose Newton steps leave its bracket bisects it.  A grown bracket is
+# [lo, lo + 2^k] with the root above lo + 2^(k-1) for k > 0, and A2's
+# [sigma_z, sigma_c] is narrower than 1, so reaching a width of
+# 1e-14*max(1, hi) takes at most log2(2e14), about 48 halvings.
+_INVERSE_ITERS = 100
 _LAMBERT_ITERS = 20  # Halley cap for _lambert_w; it needs at most about 5
 _CACHE_SIZE = 128  # entries per constant cache; a sweep batch uses ~24 pairs
 
@@ -297,20 +298,16 @@ def phi_on_branch(sigma, params, branch):
     """Electric potential as a function of sigma along one branch.
 
     phi_A = [ln(c1) + (g+z)*sigma/2 + (g-z)*(c1-c2)/2] / q with c1 the
-    larger concentration; phi_B uses the smaller one (evaluated in log
-    space) and the negated difference, so phi_B(sigma) = -phi_A(sigma).
+    larger concentration (summed as _phi_a does); the branches are mirror
+    images, phi_B(sigma) = -phi_A(sigma), and branch B returns exactly
+    that negation.
     """
     _check_branch(branch)
     sigma = np.asarray(sigma, dtype=float)
-    if branch == "A":
-        E, s, _ = _pair_state(sigma, params)
-        out = _phi_a(sigma, params, E, s)
-    else:
-        g, z, q = params.g, params.z, params.q
-        s = _pair_state(sigma, params)[1]
-        # ln(c2) = ln(2E/(sigma+s)) expanded so the decay never underflows
-        log_small = math.log(2.0) - (g + z) * sigma - np.log(sigma + s)
-        out = (log_small + 0.5 * (g + z) * sigma - 0.5 * (g - z) * s) / q
+    E, s, _ = _pair_state(sigma, params)
+    out = _phi_a(sigma, params, E, s)
+    if branch == "B":
+        out = -out
     return out if out.ndim else float(out)
 
 
@@ -375,34 +372,40 @@ def _runs(flat):
 def _invert_monotone(target, params, lo, hi, increasing):
     """Solve phi_A(sigma) = target for sigma on [lo, hi], elementwise.
 
-    hi=None grows a common upper end lo + 1, lo + 2, lo + 4, ... until
-    phi_A reaches every target; DomainError if phi_A turns non-finite
-    first.  Safeguarded Newton on per-element brackets, bisecting where a
-    step leaves the bracket.  An element is done once its bracket is at
-    most tol = 1e-14*max(1, hi) wide, or its Newton step stays in the
-    bracket (ends included) and moves at most tol, or |phi_A - target| is
-    at the rounding level 8*eps*max(1, |target|) of phi_A.
-    NonconvergenceError if any element is not done in _INVERSE_ITERS.
+    hi=None grows the upper ends lo + 1, lo + 2, lo + 4, ... until phi_A
+    reaches the largest target, and gives each target the first of them
+    whose phi_A reaches it; DomainError if phi_A turns non-finite first.
+    Safeguarded Newton on per-element brackets, bisecting where a step
+    leaves the bracket.  An element is done once its bracket is at most
+    tol = 1e-14*max(1, hi) wide, or its Newton step stays in the bracket
+    (ends included) and moves at most tol, or |phi_A - target| is at the
+    rounding level 8*eps*max(1, |target|) of phi_A.  NonconvergenceError
+    if any element is not done in _INVERSE_ITERS.
 
-    Each run of equal consecutive values of target (_runs) is iterated
-    on once, and the result is scattered back to every element of the
-    run.  This changes no bit of the result: an element's iterates
-    depend only on its own target and on the common bracket, whose top
-    is grown from the largest target, which deduplication keeps.  Solved
+    An element's iterates depend on its own target only, so an array
+    gives bit for bit what its elements give one at a time.  Each run of
+    equal consecutive values of target (_runs) is iterated on once and
+    the result scattered back to every element of the run: solved
     profiles, whose outer region repeats the bulk root at almost every
     node in one long run, need a few hundred inversions instead of one
     per node.
     """
     target = np.asarray(target, dtype=float)
-    if hi is None:
-        top, hi = float(np.max(target)), lo + 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            while (phi_hi := phi_on_branch(hi, params, "A")) < top:
-                hi = lo + 2.0 * (hi - lo)
-        if not np.isfinite(phi_hi):
-            raise DomainError("potential %.17g beyond phi_A's float range" % top)
     shape = target.shape
+    if not target.size:
+        return np.empty(shape)
     target, back = _runs(target.ravel())
+    if hi is None:
+        largest, tops = float(np.max(target)), [lo + 1.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            phis = [phi_on_branch(tops[0], params, "A")]
+            while phis[-1] < largest:
+                tops.append(lo + 2.0 * (tops[-1] - lo))
+                phis.append(phi_on_branch(tops[-1], params, "A"))
+        if not np.isfinite(phis[-1]):
+            raise DomainError("potential %.17g beyond phi_A's float range" % largest)
+        # phi_A increases on these segments
+        hi = np.array(tops)[np.searchsorted(phis, target)]
     out, todo = np.empty(target.size), np.arange(target.size)
     lo, hi = (np.full(target.size, end, dtype=float) for end in (lo, hi))
     x = 0.5 * (lo + hi)

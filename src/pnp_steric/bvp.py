@@ -289,7 +289,7 @@ def solve(problem, initial=None):
     return sol
 
 
-def classify_solution(solution, c, slack=None):
+def classify_solution(solution, c):
     """Label the discrete profile relative to the bulk root c.
 
     Returns one of "constant", "increasing", "decreasing",
@@ -300,9 +300,7 @@ def classify_solution(solution, c, slack=None):
     InconsistentProfileError.  Pass c=None for a shape-only label.
     """
     v = solution.values
-    scale = max(1.0, float(np.max(np.abs(v))))
-    if slack is None:
-        slack = 1e-8 * scale
+    slack = 1e-8 * max(1.0, float(np.max(np.abs(v))))
     d = np.diff(v)
     if float(np.max(v) - np.min(v)) <= slack:
         return "constant"
@@ -329,14 +327,12 @@ def classify_solution(solution, c, slack=None):
     )
 
 
-def bounds_check(solution, c, slack=None):
+def bounds_check(solution, c):
     """Pointwise bounds min(data, c) <= phi <= max(data, c); returns a report."""
     bc = solution.bc
     lo = min(bc.phi0_left, bc.phi0_right, c)
     hi = max(bc.phi0_left, bc.phi0_right, c)
-    scale = max(1.0, abs(lo), abs(hi))
-    if slack is None:
-        slack = 1e-8 * scale
+    slack = 1e-8 * max(1.0, abs(lo), abs(hi))
     vmin = float(np.min(solution.values))
     vmax = float(np.max(solution.values))
     return {

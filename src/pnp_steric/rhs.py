@@ -106,9 +106,8 @@ class RhsFunction:
         it).  It evaluates f and f' once per run of equal consecutive
         potentials and scatters them back, so a solved profile, the bulk
         root at nearly every node, costs a few hundred evaluations; each
-        node gets the bits it would get alone with the array's extreme
-        potentials (which set the inverse's bracket) alongside.  None
-        for hand-built probes.  Replacing evaluator/derivative alone
+        node gets the bits it would get alone.  None for hand-built
+        probes.  Replacing evaluator/derivative alone
         leaves combined in charge of value_and_derivative.
     primitive : optional vectorised antiderivative P of f, P' = f, in
         closed form from one segment inversion per pair (see assemble);

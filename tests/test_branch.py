@@ -258,6 +258,19 @@ class TestDerivatives:
             assert fd == pytest.approx(d, rel=1e-7)
 
 
+_EACH_INVERSE = pytest.mark.parametrize(
+    "invert",
+    [
+        lambda phi: ps.inverse_sigma(phi, pair(1, 20), "A1"),
+        lambda phi: ps.inverse_sigma(phi, pair(1, 20), "A2"),
+        lambda phi: ps.inverse_sigma(phi, pair(1, 20), "B1"),
+        lambda phi: ps.inverse_sigma(phi, pair(1, 20), "B2"),
+        lambda phi: ps.unified_sigma(phi, pair(0.5, 1)),
+    ],
+    ids=["A1", "A2", "B1", "B2", "unified"],
+)
+
+
 class TestInverses:
     def test_roundtrip_identity(self):
         p = pair(1, 20)
@@ -320,19 +333,16 @@ class TestInverses:
             ps.unified_sigma(0.1, pair(1, 20))
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, [0.1, math.nan]])
-    @pytest.mark.parametrize(
-        "invert",
-        [
-            lambda phi: ps.inverse_sigma(phi, pair(1, 20), "A1"),
-            lambda phi: ps.inverse_sigma(phi, pair(1, 20), "A2"),
-            lambda phi: ps.inverse_sigma(phi, pair(1, 20), "B1"),
-            lambda phi: ps.unified_sigma(phi, pair(0.5, 1)),
-        ],
-        ids=["A1", "A2", "B1", "unified"],
-    )
+    @_EACH_INVERSE
     def test_non_finite_potential_rejected(self, invert, phi):
         with pytest.raises(DomainError):
             invert(phi)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    @_EACH_INVERSE
+    def test_empty_potentials_give_an_empty_array(self, invert, shape):
+        out = invert(np.empty(shape))
+        assert out.dtype == float and out.shape == shape
 
     @pytest.mark.parametrize(
         "invert",
@@ -348,10 +358,15 @@ class TestInverses:
         with pytest.raises(DomainError):
             invert()
 
-    @pytest.mark.parametrize("z", [20.0, 1000.0])
-    def test_large_potentials_match_a_decimal_reference(self, z):
+    @pytest.mark.parametrize(
+        "z, branch_label",
+        [(20.0, "A"), (1000.0, "A"), (20.0, "B"), (1000.0, "B")],
+        ids=["20.0", "1000.0", "20.0-B", "1000.0-B"],
+    )
+    def test_large_potentials_match_a_decimal_reference(self, z, branch_label):
         # at g = 0, (g+z)*sigma/2 and (g-z)*s/2 cancel to e^-(z*sigma);
-        # phi_A must not inherit their rounding (once 2.8e-5 relative)
+        # neither branch potential may inherit their rounding (once
+        # 2.8e-5 relative on A, and 3.5e-10 on B at sigma = 1e5)
         def phi_a(sigma):
             with decimal.localcontext() as ctx:
                 ctx.prec = 60
@@ -362,11 +377,13 @@ class TestInverses:
 
         p = pair(0.0, z)
         phi = np.linspace(1.0, 25.0, 25)
-        sig = ps.inverse_sigma(phi, p, "A1")
+        sig = np.concatenate([ps.inverse_sigma(phi, p, "A1"), np.geomspace(10.0, 1e10, 41)])
         ref = np.array([phi_a(v) for v in sig])
         eps = np.finfo(float).eps
-        assert np.max(np.abs(ps.phi_on_branch(sig, p, "A") - ref) / ref) <= 4 * eps
-        assert np.max(np.abs(ref - phi) / phi) <= 16 * eps
+        sign = 1.0 if branch_label == "A" else -1.0
+        back = sign * ps.phi_on_branch(sig, p, branch_label)
+        assert np.max(np.abs(back - ref) / ref) <= 4 * eps
+        assert np.max(np.abs(ref[:25] - phi) / phi) <= 16 * eps
 
     def test_beyond_outer_segment_end_is_branch_mismatch(self):
         p = pair(1, 20)
@@ -384,10 +401,11 @@ class TestInverses:
 
     @pytest.mark.parametrize("top", [80.0, 150.0, 354.0])
     def test_small_targets_converge_under_a_float_range_bracket(self, top):
-        # at g = 0 the bracket grown for the largest potential reaches
-        # sigma = 2*exp(3*top), up to about 1e308 at top = 354; a small
-        # target whose Newton steps leave it bisects down from there,
-        # about 1,070 halvings
+        # at g = 0 the largest potential needs sigma = 2*exp(3*top), up
+        # to about 1e308 at top = 354; a small target gets a bracket of
+        # its own, [sigma_c, sigma_c + 2^k] with the root above
+        # sigma_c + 2^(k-1), and bisects it in at most about 48 halvings,
+        # well under the cap of 100 iterations
         p = pair(0.0, 20.0)
         phi = np.linspace(0.0, top, 200)
         sig = ps.inverse_sigma(phi, p, "A1")
@@ -501,9 +519,8 @@ def test_inverse_of_plateaus_matches_elementwise_inversion(
 ):
     """Sorted potentials in runs of repeated values, as a solved profile
     holds them (the bulk root over most of the grid, flanked by runs one
-    ulp away), invert bit for bit as each potential does on its own.  Each single inversion carries the
-    extreme potentials along, so its bracket is the full array's; equal
-    potentials invert alike, so each level is inverted once."""
+    ulp away), invert bit for bit as each potential does in a scalar
+    call of its own."""
     if segment == "unified":
         p = pair(g, 0.9 * ps.g_crit(g), q)
         lo, hi = -4.0, 4.0
@@ -526,9 +543,8 @@ def test_inverse_of_plateaus_matches_elementwise_inversion(
     phi = np.sort(np.repeat(values, counts))
     if descending:
         phi = phi[::-1]
-    ends = [phi.min(), phi.max()]
-    single = {value: invert(np.array([value] + ends))[0] for value in set(phi)}
-    assert _same_bits(invert(phi), [single[value] for value in phi])
+    single = {value: invert(value) for value in set(phi.tolist())}
+    assert _same_bits(invert(phi), [single[value] for value in phi.tolist()])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

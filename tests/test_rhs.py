@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pnp_steric as ps
@@ -247,13 +247,13 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
-def _current_factor(value, ends, config, label):
-    """sum_pairs q*i(sigma(phi)) at one potential, the ends carried along."""
+def _current_factor(value, config, label):
+    """sum_pairs q*i(sigma(phi)) at one potential, from scalar inversions."""
     pairs, _, _ = ps.charge_terms(config, label)
     d = _RUN_DIFFUSION.coefficients
     total = 0.0
     for j, (pair, lab) in enumerate(pairs):
-        sig = ps.inverse_sigma(np.array([value] + ends), pair, lab + "1")[0]
+        sig = ps.inverse_sigma(value, pair, lab + "1")
         factor = current._pair_current_factor(sig, pair, d[2 * j : 2 * j + 2], lab)
         total = total + pair.q * factor
     return total
@@ -271,14 +271,15 @@ def _current_factor(value, ends, config, label):
     descending=st.booleans(),
     scalar=st.booleans(),
 )
+@example(case=0, levels=[(k / 49, 1, False) for k in range(50)], zeros=False,
+         descending=False, scalar=False)
 def test_run_based_evaluation_matches_per_node_evaluation(
     case, levels, zeros, descending, scalar
 ):
     """f, f' and the pointwise current of a plateau profile (runs of one
     potential, flanked by runs one ulp away, and 0.0 beside -0.0) are bit
-    for bit those of each node taken alone.  Each single evaluation
-    carries the extreme potentials along, so its inversion bracket is the
-    whole array's; 0-d input gives 0-d output."""
+    for bit those of a scalar call at each node; 0-d input gives 0-d
+    output."""
     config, label, fn = _run_case(case)
     lo, hi = fn.domain
     values, counts = [], []
@@ -294,13 +295,11 @@ def test_run_based_evaluation_matches_per_node_evaluation(
         phi = phi[::-1]
     if scalar:
         phi = np.asarray(phi[0])
-    ends = [phi.min(), phi.max()]
     single = {}
-    for value in phi.ravel():
+    for value in phi.ravel().tolist():
         if _bits(value) not in single:
-            f, fp = fn.value_and_derivative(np.array([value] + ends))
-            factor = _current_factor(value, ends, config, label)
-            single[_bits(value)] = (f[0], fp[0], factor)
+            f, fp = fn.value_and_derivative(value)
+            single[_bits(value)] = (f, fp, _current_factor(value, config, label))
 
     def per_node(k):
         return np.array([single[_bits(v)][k] for v in phi.ravel()]).reshape(phi.shape)
