@@ -72,7 +72,6 @@ from .errors import (
     DomainError,
     DomainEscapeError,
     EmptyDomainError,
-    EndpointSingularityWarning,
     InconsistentProfileError,
     NoIntersectionError,
     NonconvergenceError,

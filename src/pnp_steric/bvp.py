@@ -140,11 +140,8 @@ def _sample_window(rhs, bc):
     return min(vals), max(vals)
 
 
-def _min_derivative(rhs, lo, hi, n=401):
-    if hi <= lo:
-        return float(rhs.derivative(np.asarray(lo)))
-    pts = np.linspace(lo, hi, n)
-    return float(np.min(rhs.derivative(pts)))
+def _min_derivative(rhs, lo, hi):
+    return float(np.min(rhs.derivative(np.linspace(lo, hi, 401))))
 
 
 def _robin_row(h, eta):
@@ -200,8 +197,6 @@ def _newton(phi, h, eps, rhs, bc, domain, tol):
     Jacobian reuses the f' of the accepted iterate.
     """
     lo, hi = domain
-    finite_lo = math.isfinite(lo)
-    finite_hi = math.isfinite(hi)
     clamps = 0
     # The central-difference rows amplify rounding by eps/h^2 and the Robin
     # rows by eta/h; below that floor the residual is pure noise.
@@ -222,10 +217,10 @@ def _newton(phi, h, eps, rhs, bc, domain, tol):
         while True:
             trial = phi + lam * delta
             clipped = False
-            if finite_lo and np.any(trial < lo):
+            if np.any(trial < lo):
                 trial = np.maximum(trial, lo)
                 clipped = True
-            if finite_hi and np.any(trial > hi):
+            if np.any(trial > hi):
                 trial = np.minimum(trial, hi)
                 clipped = True
             trial_res, trial_fp = residual(trial)
@@ -442,8 +437,6 @@ def linearized_smallest_eigenvalue(solution, rhs):
     eps = solution.epsilon
     n = phi.size
     fp = np.asarray(rhs.derivative(phi[1:-1]), dtype=float)
-    if fp.ndim == 0:
-        fp = np.full(n - 2, float(fp))
 
     c = eps / (h * h)
     a, b, d = _robin_row(h, solution.bc.eta)
@@ -458,13 +451,14 @@ def linearized_smallest_eigenvalue(solution, rhs):
     return float(vals[0])
 
 
-def unbounded_growth_probe(rhs, epsilons, bc=None, n_nodes=None):
+def unbounded_growth_probe(rhs, epsilons):
     """Document sup-norm blowup when f has no root.
 
     Verifies f keeps one sign on (a finite window of) its domain, then
-    solves the problem for each eps and reports sup norms and their
-    consecutive growth factors as eps shrinks.  A sign change raises
-    RootPresentError: bounded solutions exist in that case.
+    solves the problem with zero Dirichlet data on the default grid for
+    each eps and reports sup norms and their consecutive growth factors
+    as eps shrinks.  A sign change raises RootPresentError: bounded
+    solutions exist in that case.
     """
     lo, hi = rhs.domain
     wlo = lo if math.isfinite(lo) else -50.0
@@ -474,12 +468,11 @@ def unbounded_growth_probe(rhs, epsilons, bc=None, n_nodes=None):
         raise RootPresentError(
             "right-hand side changes sign: the probe hypothesis fails"
         )
-    if bc is None:
-        bc = RobinBC(0.0, 0.0, 0.0)
+    bc = RobinBC(0.0, 0.0)
     eps_sorted = sorted(epsilons, reverse=True)
     norms = []
     for eps in eps_sorted:
-        sol = solve(BvpProblem(eps, rhs, bc, n_nodes))
+        sol = solve(BvpProblem(eps, rhs, bc))
         norms.append(float(np.max(np.abs(sol.values))))
     growth = [norms[i + 1] / norms[i] for i in range(len(norms) - 1)]
     return {

@@ -107,11 +107,16 @@ def parse_config(raw, mode):
         value = raw.get(name)
         if value is None:
             cfg[name] = default
-        else:
-            try:
-                cfg[name] = typ(value)
-            except (TypeError, ValueError):
-                raise ConfigError("bad value for %s: %r" % (name, value))
+            continue
+        # JSON true/false and 300.7 would pass as 1.0/0.0 (or "True") and 300
+        if isinstance(value, bool) or (
+            typ is int and isinstance(value, float) and not value.is_integer()
+        ):
+            raise ConfigError("bad value for %s: %r" % (name, value))
+        try:
+            cfg[name] = typ(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError("bad value for %s: %r" % (name, value))
     cfg["mode"] = mode
 
     if mode not in _MODES:
@@ -194,11 +199,10 @@ def _run_branches(cfg):
     sigmas = np.linspace(sz, smax, cfg["n_sigma"])
     c1, c2 = branch.concentrations(sigmas, pair, "A")
     phi_a = branch.phi_on_branch(sigmas, pair, "A")
-    phi_b = branch.phi_on_branch(sigmas, pair, "B")
     return {
         "branches": {
             "columns": ["sigma", "c1_A", "c2_A", "phi_A", "phi_B"],
-            "rows": np.column_stack([sigmas, c1, c2, phi_a, phi_b]).tolist(),
+            "rows": np.column_stack([sigmas, c1, c2, phi_a, -phi_a]).tolist(),
         }
     }
 

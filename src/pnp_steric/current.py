@@ -21,18 +21,12 @@ from concentration profiles and the steric coupling matrix.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import branch, rhs
-from .errors import (
-    BoundsError,
-    ConsistencyError,
-    DomainError,
-    EndpointSingularityWarning,
-)
+from .errors import BoundsError, ConsistencyError, DomainError
 from .quadrature import adaptive_simpson
 
 __all__ = [
@@ -242,20 +236,6 @@ def _sigma_integrand(pair, d_pair, branch_label):
     return integrand
 
 
-def _window_potentials(solution, x1, x2):
-    x, phi = _nodes_values(solution)
-    return float(np.interp(x1, x, phi)), float(np.interp(x2, x, phi))
-
-
-def _warn_if_on_turning_point(sigma, pair):
-    if abs(sigma - branch.sigma_c(pair)) < 1e-10:
-        warnings.warn(
-            "quadrature endpoint sits on the turning point sigma_c; "
-            "the integrand is singular there",
-            EndpointSingularityWarning,
-        )
-
-
 def integral_current_sigma(solution, config, diffusion, label, x1, x2):
     """Window-integrated excess current via the sigma change of variables.
 
@@ -267,13 +247,11 @@ def integral_current_sigma(solution, config, diffusion, label, x1, x2):
         return 0.0
     pairs, _, _ = rhs.charge_terms(config, label)
     d_pairs = _pair_diffusions(diffusion, len(pairs))
-    p1, p2 = _window_potentials(solution, x1, x2)
+    x, phi = _nodes_values(solution)
+    ends = np.interp([x1, x2], x, phi)
     total = 0.0
     for (pair, lab), d_pair in zip(pairs, d_pairs):
-        s1 = float(branch.inverse_sigma(p1, pair, lab + "1"))
-        s2 = float(branch.inverse_sigma(p2, pair, lab + "1"))
-        for s in (s1, s2):
-            _warn_if_on_turning_point(s, pair)
+        s1, s2 = branch.inverse_sigma(ends, pair, lab + "1").tolist()
         integrand = _sigma_integrand(pair, d_pair, lab)
         total += diffusion.charge_scale * adaptive_simpson(integrand, s1, s2)
     return total

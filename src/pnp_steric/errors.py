@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class PnpStericError(Exception):
@@ -59,7 +59,3 @@ class ConsistencyError(PnpStericError, ValueError):
 
 class ConfigError(PnpStericError, ValueError):
     """Run configuration failed validation."""
-
-
-class EndpointSingularityWarning(UserWarning):
-    """A quadrature endpoint sits numerically on the turning point."""

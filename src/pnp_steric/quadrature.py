@@ -11,6 +11,7 @@ __all__ = ["adaptive_simpson"]
 
 _ABS_FLOOR = 1e-12
 _MAX_DEPTH = 40
+_REL_TOL = 1e-8
 
 
 def _simpson(f, a, fa, b, fb):
@@ -37,10 +38,10 @@ def _recurse(f, a, fa, b, fb, m, fm, whole, tol, depth):
     )
 
 
-def adaptive_simpson(f, a, b, rel_tol=1e-8):
+def adaptive_simpson(f, a, b):
     """Integrate f from a to b with Richardson-accelerated Simpson panels.
 
-    The per-panel tolerance is the larger of _ABS_FLOOR and rel_tol times
+    The per-panel tolerance is the larger of _ABS_FLOOR and _REL_TOL times
     a running magnitude estimate from the initial whole-interval panel.
     A panel still missing its tolerance after _MAX_DEPTH halvings raises
     NonconvergenceError.  Orientation-aware: swapped bounds negate the
@@ -49,8 +50,8 @@ def adaptive_simpson(f, a, b, rel_tol=1e-8):
     if a == b:
         return 0.0
     if a > b:
-        return -adaptive_simpson(f, b, a, rel_tol)
+        return -adaptive_simpson(f, b, a)
     fa, fb = f(a), f(b)
     m, fm, whole = _simpson(f, a, fa, b, fb)
-    tol = max(_ABS_FLOOR, rel_tol * abs(whole))
+    tol = max(_ABS_FLOOR, _REL_TOL * abs(whole))
     return _recurse(f, a, fa, b, fb, m, fm, whole, tol, _MAX_DEPTH)

@@ -35,6 +35,8 @@ class TestParseConfig:
             cli.parse_config({"epsilon": -1.0}, "solve")
         with pytest.raises(ConfigError):
             cli.parse_config({"branch": "C"}, "solve")
+        with pytest.raises(ConfigError):
+            cli.parse_config({"out": True}, "critical")
 
     @pytest.mark.parametrize(
         "args",
@@ -63,14 +65,25 @@ class TestParseConfig:
             ["solve", "--z3", "nan"],
             ["solve", "--species", "four", "--g2", "1", "--z2", "25",
              "--rho0", "nan"],
+            ["solve", {"n_nodes": 1e400}],
+            ["solve", {"n_nodes": 300.7}],
+            ["solve", {"z": True, "g": False}],
         ],
         ids=["epsilon", "eta", "n_nodes", "d1", "d2", "d3", "d4", "charge_scale",
              "n_sigma_negative", "n_sigma_zero", "sigma_max", "x1_nan",
              "x1_outside", "x2_inf", "window_order", "phi0_left", "phi0_right",
-             "rho0_nan", "rho0_inf", "z3_negative", "z3_nan", "rho0_nan_four"],
+             "rho0_nan", "rho0_inf", "z3_negative", "z3_nan", "rho0_nan_four",
+             "n_nodes_overflow", "n_nodes_fraction", "boolean_couplings"],
     )
-    def test_bad_numbers_are_configuration_errors(self, args, capsys):
-        code, _, err = invoke(args + ["--g", "1", "--z", "40"], capsys)
+    def test_bad_numbers_are_configuration_errors(self, args, tmp_path, capsys):
+        # g = 1, z = 40 come from a config file, with a trailing dict on top
+        raw = {"g": 1, "z": 40}
+        if isinstance(args[-1], dict):
+            raw.update(args[-1])
+            args = args[:-1]
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(raw))
+        code, _, err = invoke(args + ["--config", str(cfgfile)], capsys)
         assert code == 2
         assert "configuration error" in err
 

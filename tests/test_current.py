@@ -16,7 +16,6 @@ from pnp_steric.errors import (
     BranchMismatchError,
     ConsistencyError,
     DomainError,
-    EndpointSingularityWarning,
 )
 
 PAIR = ps.TwoSpeciesParams(1.0, 20.0, 1.0)
@@ -138,15 +137,23 @@ class TestWindowIntegrals:
             )
             assert abs(ix - isg) <= max(1e-6, 1e-4 * abs(isg))
 
-    def test_turning_point_warning(self):
+    def test_window_from_the_turning_point(self):
+        # the integrand is finite at sigma_c: no warning, a finite current
         fn = ps.assemble_three_species(CONFIG, "A")
         x = np.linspace(-1, 1, 101)
         phi = np.linspace(-ps.phi_crit(PAIR), fn.root, 101)
-        with pytest.warns(EndpointSingularityWarning):
-            with np.errstate(all="ignore"):
-                current.integral_current_sigma_three(
-                    (x, phi), CONFIG, DIFF, "A", -1.0, 0.5
-                )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = current.integral_current_sigma_three(
+                (x, phi), CONFIG, DIFF, "A", -1.0, 0.5
+            )
+        assert math.isfinite(got)
+        s2 = float(branch.inverse_sigma(np.interp(0.5, x, phi), PAIR, "A1"))
+        want, _ = integrate.quad(
+            current._sigma_integrand(PAIR, (1.0, 2.0), "A"),
+            ps.sigma_c(PAIR), s2, epsrel=1e-12,
+        )
+        assert got == pytest.approx(want, rel=1e-7)
 
 
 class TestFourSpecies:
