@@ -60,6 +60,12 @@ _ENDPOINT_SLACK = 1e-12
 # [sigma_z, sigma_c] is narrower than 1, so reaching a width of
 # 1e-14*max(1, hi) takes at most log2(2e14), about 48 halvings.
 _INVERSE_ITERS = 100
+# Calls with at most this many runs of equal potentials invert one run at
+# a time in floats.  On a 2-vCPU AVX-512 Xeon with numpy 2.4 a run costs
+# about 15 us that way, against a floor of about 270 us for the array
+# loop's numpy overhead, so the two break even near 20 runs.
+_FLOAT_RUNS = 8
+_ROUNDING = 8.0 * np.finfo(float).eps  # phi_A's rounding level per unit |phi|
 _LAMBERT_ITERS = 20  # Halley cap for _lambert_w; it needs at most about 5
 _CACHE_SIZE = 128  # entries per constant cache; a sweep batch uses ~24 pairs
 
@@ -252,21 +258,24 @@ def _pair_state(sigma, params):
     turning point sigma_c.  Every closed form of the pair reads them
     from here.  Sub-threshold rule: a negative discriminant at a sigma
     within relative slack _ENDPOINT_SLACK of sigma_z is roundoff and
-    gives s = 0; a sigma further below sigma_z raises DomainError.
+    gives s = 0; a sigma further below sigma_z raises DomainError.  A
+    float sigma gives numpy float scalars, the same bits as a
+    one-element array at a fraction of its cost.
     """
     g, z = params.g, params.z
-    sigma = np.asarray(sigma, dtype=float)
+    scalar = isinstance(sigma, float)
+    if not scalar:
+        sigma = np.asarray(sigma, dtype=float)
     E = np.exp(-(g + z) * sigma)
     d = sigma * sigma - 4.0 * E
     bad = d < 0.0
-    if bad.any():
+    if (bad if scalar else bad.any()):
         sz = sigma_z(params)
-        if np.all(sigma[bad] >= sz * (1.0 - _ENDPOINT_SLACK)):
-            d = np.where(bad, 0.0, d)
-        else:
+        if (bad & (sigma < sz * (1.0 - _ENDPOINT_SLACK))).any():
             raise DomainError(
                 "sigma below the admissible threshold sigma_z=%.17g" % sz
             )
+        d = np.where(bad, 0.0, d)
     return E, np.sqrt(d), 1.0 + g * sigma + (g * g - z * z) * E
 
 
@@ -346,25 +355,26 @@ def _phi_a(sigma, params, E, s):
 def _phi_a_and_slope(sigma, params):
     """phi_A and its slope f_tilde/(q*s) in sigma, from one exp and one sqrt.
 
-    The slope is +inf at sigma_z (s = 0); a 0/0 slope comes back as nan,
-    silently, for the caller's bracket logic to reject.
+    The slope is infinite at sigma_z (s = 0) and a 0/0 slope is nan, silently
+    under _invert_monotone's np.errstate, for its bracket logic to reject.
     """
     E, s, tilde = _pair_state(sigma, params)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = tilde / (params.q * s)
-    return _phi_a(sigma, params, E, s), slope
+    return _phi_a(sigma, params, E, s), tilde / (params.q * s)
 
 
 def _runs(flat):
     """(run_values, back) of a 1-D array: flat == run_values[back].
 
     run_values holds the first value of each run of equal consecutive
-    elements (0.0 and -0.0 are equal, nan never is), in order.
+    elements (0.0 and -0.0 are equal, nan never is), in order.  One
+    element, a root search's scalar call, is one run without array work.
     """
+    if flat.size == 1:
+        return flat, np.zeros(1, dtype=np.intp)
     starts = np.empty(flat.size, dtype=bool)
     starts[:1] = True
     np.not_equal(flat[1:], flat[:-1], out=starts[1:])
-    back = np.cumsum(starts)
+    back = starts.cumsum()
     back -= 1
     return flat[starts], back
 
@@ -388,60 +398,113 @@ def _invert_monotone(target, params, lo, hi, increasing):
     the result scattered back to every element of the run: solved
     profiles, whose outer region repeats the bulk root at almost every
     node in one long run, need a few hundred inversions instead of one
-    per node.
+    per node.  Up to _FLOAT_RUNS runs (a root search's scalar calls) are
+    iterated one at a time on floats, more (Newton residuals, profiles)
+    together on arrays; both loops perform the same IEEE operations in
+    the same order, with numpy's exp and log, so the choice changes no
+    bit of the result, only its cost.
     """
     target = np.asarray(target, dtype=float)
     shape = target.shape
     if not target.size:
         return np.empty(shape)
     target, back = _runs(target.ravel())
-    if hi is None:
-        largest, tops = float(np.max(target)), [lo + 1.0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            phis = [phi_on_branch(tops[0], params, "A")]
+    # tops grown past the float range overflow; s = 0 and f_tilde = 0
+    # give the slopes inf and nan that the bracket logic rejects
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if hi is None:
+            largest, tops = target.max(), [lo + 1.0]
+            phis = [_phi_a_and_slope(tops[0], params)[0]]
             while phis[-1] < largest:
                 tops.append(lo + 2.0 * (tops[-1] - lo))
-                phis.append(phi_on_branch(tops[-1], params, "A"))
-        if not np.isfinite(phis[-1]):
-            raise DomainError("potential %.17g beyond phi_A's float range" % largest)
-        # phi_A increases on these segments
-        hi = np.array(tops)[np.searchsorted(phis, target)]
+                phis.append(_phi_a_and_slope(tops[-1], params)[0])
+            if not math.isfinite(phis[-1]):
+                raise DomainError(
+                    "potential %.17g beyond phi_A's float range" % largest
+                )
+            # phi_A increases on these segments
+            hi = np.array(tops)[np.searchsorted(phis, target)]
+        if target.size <= _FLOAT_RUNS:
+            out = [
+                _invert_one(t, params, lo, h, increasing)
+                for t, h in zip(target.tolist(), np.full(target.size, hi).tolist())
+            ]
+            unconverged = sum(map(math.isnan, out))
+            out = np.array(out)
+        else:
+            out, unconverged = _invert_arrays(target, params, lo, hi, increasing)
+    if unconverged:
+        raise NonconvergenceError("segment inverse: %d of %d potential runs "
+                                  "unconverged" % (unconverged, out.size))
+    return out[back].reshape(shape)
+
+
+def _invert_one(target, params, lo, hi, increasing):
+    """_invert_monotone's iteration for one float target, or nan if not done.
+
+    _invert_arrays restricted to one element: the same operations in the
+    same order, so the same bits.  The slope stays a numpy float, so that
+    resid/slope divides as numpy does (inf or nan under the caller's
+    np.errstate, not ZeroDivisionError) at s = 0 and f_tilde = 0.
+    """
+    x = 0.5 * (lo + hi)
+    rounding = _ROUNDING * max(1.0, abs(target))
+    for _ in range(_INVERSE_ITERS):
+        phi, slope = _phi_a_and_slope(x, params)
+        resid = float(phi - target)
+        if resid < 0.0 if increasing else resid > 0.0:
+            lo = x
+        else:
+            hi = x
+        step = float(x - resid / slope)
+        tol = 1e-14 * max(1.0, hi)
+        settled = lo <= step <= hi and abs(step - x) <= tol
+        level = abs(resid) <= rounding
+        if settled or lo < step < hi:  # False for nan and inf steps
+            x = step
+        elif not level:
+            x = 0.5 * (lo + hi)
+        if settled or level or hi - lo <= tol:
+            return x
+    return math.nan
+
+
+def _invert_arrays(target, params, lo, hi, increasing):
+    """(sigma, unconverged count) of _invert_monotone, iterated on arrays."""
     out, todo = np.empty(target.size), np.arange(target.size)
     lo, hi = (np.full(target.size, end, dtype=float) for end in (lo, hi))
     x = 0.5 * (lo + hi)
-    rounding = 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(target))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_INVERSE_ITERS):
-            phi, slope = _phi_a_and_slope(x, params)
-            resid = phi - target
-            below = resid < 0.0 if increasing else resid > 0.0
-            lo = np.where(below, x, lo)
-            hi = np.where(below, hi, x)
-            step = x - resid / slope
-            tol = 1e-14 * np.maximum(1.0, hi)
-            settled = (step >= lo) & (step <= hi) & (np.abs(step - x) <= tol)
-            level = np.abs(resid) <= rounding
-            inside = (step > lo) & (step < hi)  # False for nan and inf steps
-            x = np.where(settled | inside, step, np.where(level, x, 0.5 * (lo + hi)))
-            done = settled | level | (hi - lo <= tol)
-            if not done.any():
-                continue
-            out[todo[done]] = x[done]
-            if done.all():
-                return out[back].reshape(shape)
-            keep = ~done
-            todo, target, rounding, lo, hi, x = (
-                a[keep] for a in (todo, target, rounding, lo, hi, x)
-            )
-    raise NonconvergenceError("segment inverse: %d of %d potential runs "
-                              "unconverged" % (todo.size, out.size))
+    rounding = _ROUNDING * np.maximum(1.0, np.abs(target))
+    for _ in range(_INVERSE_ITERS):
+        phi, slope = _phi_a_and_slope(x, params)
+        resid = phi - target
+        below = resid < 0.0 if increasing else resid > 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        step = x - resid / slope
+        tol = 1e-14 * np.maximum(1.0, hi)
+        settled = (step >= lo) & (step <= hi) & (np.abs(step - x) <= tol)
+        level = np.abs(resid) <= rounding
+        inside = (step > lo) & (step < hi)  # False for nan and inf steps
+        x = np.where(settled | inside, step, np.where(level, x, 0.5 * (lo + hi)))
+        done = settled | level | (hi - lo <= tol)
+        if not done.any():
+            continue
+        out[todo[done]] = x[done]
+        if done.all():
+            return out, 0
+        keep = ~done
+        todo, target, rounding, lo, hi, x = (
+            a[keep] for a in (todo, target, rounding, lo, hi, x)
+        )
+    return out, todo.size
 
 
 def _clamp_to(value, lo, hi, scale):
     """Clamp values within roundoff slack of [lo, hi]; BranchMismatchError beyond."""
     slack = _ENDPOINT_SLACK * max(1.0, abs(scale))
     value = np.asarray(value, dtype=float)
-    if (value < lo - slack).any() or (value > hi + slack).any():
+    if np.count_nonzero((value < lo - slack) | (value > hi + slack)):
         raise BranchMismatchError(
             "potential outside the segment range [%.17g, %.17g] (of -phi on "
             "B segments)" % (lo, hi)
@@ -481,7 +544,7 @@ def inverse_sigma(phi, params, segment):
     _check_segment(segment)
     phi = _finite_potentials(phi)
     if segment.startswith("B"):
-        return inverse_sigma(-phi, params, "A" + segment[1])
+        phi, segment = -phi, "A" + segment[1]
 
     sc = sigma_c(params)  # raises SubcriticalError when no turning point
     pac = phi_crit(params)
@@ -496,7 +559,7 @@ def inverse_sigma(phi, params, segment):
     # end is the segment's lowest potential, so it never sets hi)
     out = np.full(phi.shape, sc)
     free = phi != -pac
-    if free.any():
+    if np.count_nonzero(free):
         out[free] = _invert_monotone(phi[free], params, lo, hi, increasing)
     return out if out.ndim else float(out)
 

@@ -44,7 +44,7 @@ from .errors import (
     RootPresentError,
     SignError,
 )
-from .quadrature import adaptive_simpson
+from .quadrature import _REL_TOL, adaptive_simpson
 from .roots import brentq
 
 __all__ = [
@@ -66,11 +66,10 @@ _DAMPING_FLOOR = 2.0**-20
 _MAX_CONSECUTIVE_CLAMPS = 5
 # P(s) - P(c) carries a rounding error of up to 18 eps * max(1, |P(c)|),
 # measured on the tests' three- and four-species configurations, whatever
-# |s - c|; bound it by 32 eps.  Where that exceeds _PRIMITIVE_RTOL (the
-# quadrature's relative tolerance) of the integral, the quadrature, whose
+# |s - c|; bound it by 32 eps.  Where that exceeds the quadrature's
+# relative tolerance _REL_TOL of the integral, the quadrature, whose
 # rounding shrinks with |s - c|, takes the integral instead.
 _PRIMITIVE_ROUNDING = 32.0 * np.finfo(float).eps
-_PRIMITIVE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -400,7 +399,7 @@ def boundary_layer_limits(rhs, c, bc, gamma):
         integral = quadrature
     else:
         base = float(rhs.antiderivative(c))
-        floor = _PRIMITIVE_ROUNDING * max(1.0, abs(base)) / _PRIMITIVE_RTOL
+        floor = _PRIMITIVE_ROUNDING * max(1.0, abs(base)) / _REL_TOL
 
         def integral(s):
             closed = float(rhs.antiderivative(s)) - base

@@ -399,6 +399,66 @@ class TestInverses:
         with pytest.raises(NonconvergenceError):
             ps.inverse_sigma(np.linspace(-0.5, 2.0, 50), pair(1, 20), "A1")
 
+    @pytest.mark.parametrize(
+        "invert",
+        [
+            lambda phi: ps.inverse_sigma(phi, pair(0.0, 20.0), "A1"),
+            lambda phi: ps.unified_sigma(phi, pair(0.0, 1.0)),
+        ],
+        ids=["A1", "unified"],
+    )
+    def test_float_range_error_matches_between_loops(self, invert):
+        # at g = 0, phi = 800 needs sigma = 2*exp(800), beyond the largest
+        # float; one potential is inverted in floats, many runs on arrays
+        messages = []
+        for phi in (800.0, np.linspace(0.0, 800.0, 4 * branch._FLOAT_RUNS)):
+            with pytest.raises(DomainError) as exc:
+                invert(phi)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert "beyond phi_A's float range" in messages[0]
+
+    @pytest.mark.parametrize("segment", ["A1", "A2", "B1", "B2"])
+    def test_segment_end_error_matches_between_loops(self, segment):
+        p = pair(1, 20)
+        pac = ps.phi_crit(p)
+        lo, hi, beyond = {
+            "A1": (-pac, 2.0, -pac - 1e-3),
+            "A2": (-pac, 0.0, 1e-3),
+            "B1": (-2.0, pac, pac + 1e-3),
+            "B2": (0.0, pac, -1e-3),
+        }[segment]
+        many = np.append(np.linspace(lo, hi, 4 * branch._FLOAT_RUNS), beyond)
+        messages = []
+        for phi in (beyond, many):
+            with pytest.raises(BranchMismatchError) as exc:
+                ps.inverse_sigma(phi, p, segment)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    def test_unconverged_error_matches_between_loops(self, monkeypatch):
+        # an element's iterates do not depend on the loop that runs them,
+        # so the float loop (up to _FLOAT_RUNS runs) and the array loop
+        # leave the same potentials unconverged
+        monkeypatch.setattr(branch, "_INVERSE_ITERS", 2)
+        p = pair(1, 20)
+        phi = np.linspace(-0.5, 2.0, 3 * branch._FLOAT_RUNS)
+        failed = []
+        for v in phi:
+            try:
+                ps.inverse_sigma(v, p, "A1")
+            except NonconvergenceError as exc:
+                assert str(exc) == "segment inverse: 1 of 1 potential runs unconverged"
+                failed.append(v)
+        assert failed
+        for chunk in (phi[: branch._FLOAT_RUNS], phi):
+            with pytest.raises(NonconvergenceError) as exc:
+                ps.inverse_sigma(chunk, p, "A1")
+            expected = "segment inverse: %d of %d potential runs unconverged" % (
+                np.isin(chunk, failed).sum(), chunk.size
+            )
+            assert str(exc.value) == expected
+
     @pytest.mark.parametrize("top", [80.0, 150.0, 354.0])
     def test_small_targets_converge_under_a_float_range_bracket(self, top):
         # at g = 0 the largest potential needs sigma = 2*exp(3*top), up
@@ -545,6 +605,53 @@ def test_inverse_of_plateaus_matches_elementwise_inversion(
         phi = phi[::-1]
     single = {value: invert(value) for value in set(phi.tolist())}
     assert _same_bits(invert(phi), [single[value] for value in phi.tolist()])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    g=st.floats(0.0, 3.0),
+    z_factor=st.floats(1.05, 20.0),
+    q=st.sampled_from([1.0, 2.0, 3.0]),
+    segment=st.sampled_from(["A1", "A2", "B1", "B2", "unified"]),
+    u=st.lists(st.floats(0.0, 1.0), max_size=12),
+    descending=st.booleans(),
+)
+def test_many_run_arrays_invert_as_their_elements_do_alone(
+    g, z_factor, q, segment, u, descending
+):
+    """An array of more than _FLOAT_RUNS runs is iterated on arrays, each
+    of its potentials alone in floats, and both give the same bits: at
+    the segment ends, +-0.0, +-phi_crit and their nextafter neighbours,
+    potentials clamped from within _ENDPOINT_SLACK past an end, and
+    potentials whose sigma lies within _ENDPOINT_SLACK of sigma_z."""
+    if segment == "unified":
+        p = pair(g, 0.9 * ps.g_crit(g), q)
+        lo, hi, slack, ends = -4.0, 4.0, 0.0, [0.0]
+        invert = lambda x: ps.unified_sigma(x, p)
+    else:
+        p = pair(g, z_factor * ps.g_crit(g), q)
+        pac = ps.phi_crit(p)
+        lo, hi = {
+            "A1": (-pac, pac + 10.0),
+            "A2": (-pac, 0.0),
+            "B1": (-pac - 10.0, pac),
+            "B2": (0.0, pac),
+        }[segment]
+        slack, ends = 0.5 * branch._ENDPOINT_SLACK * max(1.0, pac), [0.0, pac]
+        invert = lambda x: ps.inverse_sigma(x, p, segment)
+    specials = [lo - slack, hi + slack]
+    for end in ends + [lo, hi]:
+        for v in (end, -end):
+            specials += [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]
+    # sigma - sigma_z grows as phi^2 near phi = 0, so these sit within
+    # _ENDPOINT_SLACK (relative) of sigma_z
+    specials += [s * t for s in (1.0, -1.0) for t in (1e-300, 1e-9, 1e-7)]
+    interior = np.linspace(lo, hi, 2 * branch._FLOAT_RUNS + 1)[1:-1].tolist()
+    phi = [v for v in specials if lo - slack <= v <= hi + slack]
+    phi = np.array(phi + interior + [lo + v * (hi - lo) for v in u])
+    phi = np.sort(phi)[::-1] if descending else phi
+    single = [invert(v) for v in phi.tolist()]
+    assert _same_bits(invert(phi), single)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
