@@ -14,14 +14,20 @@ columns c1..cN follow that species order.
 
 Parameters come from an optional JSON configuration file (``--config``)
 overridden by command line flags.  Reports are emitted as CSV (default)
-or JSON; JSON output is a single object with ``config``, ``results`` and
-``warnings`` keys and round-trips bit-for-bit through the standard json
-module.  Exit codes: 0 on success, 2 for configuration errors, 3 for
+or JSON.  JSON output is a single object with ``config``, ``results``
+and ``warnings`` keys; its text is exactly ``json.dumps(report,
+indent=2)`` plus a newline, so it round-trips bit-for-bit through the
+standard json module.  Every float CSV cell is its ``repr``.  Result
+tables (``{"columns", "rows"}``) are written straight from the reprs of
+their cells, without the encoder's per-value walk; the text is the same.
+The argument parser is built once per process, on the first ``main()``
+call.  Exit codes: 0 on success, 2 for configuration errors, 3 for
 solver failures.
 """
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -75,7 +81,13 @@ def _flag(name):
     return "--" + name.replace("_", "-")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and shared by later calls.
+
+    parse_args keeps no state in the parser: each call fills a fresh
+    namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="pnp-steric",
         description="Steady-state steric Poisson-Nernst-Planck toolbox",
@@ -286,28 +298,86 @@ def _format_cell(value):
     return str(value)
 
 
+def _is_table(payload):
+    return isinstance(payload, dict) and "columns" in payload
+
+
 def _report_to_csv(report):
+    """One CSV block per result, blank-line separated.
+
+    A table's float rows are joined from float.__repr__ directly: a repr
+    holds no comma, quote or line break, so csv.writer would write the
+    same cells unquoted.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    blocks = []
-    for name, payload in report["results"].items():
-        if isinstance(payload, dict) and "columns" in payload:
-            blocks.append((payload["columns"], payload["rows"]))
-        else:
-            keys = list(payload)
-            blocks.append((keys, [[payload[k] for k in keys]]))
-    for i, (cols, rows) in enumerate(blocks):
+    for i, payload in enumerate(report["results"].values()):
         if i:
             buf.write("\n")
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+        if _is_table(payload):
+            writer.writerow(payload["columns"])
+            buf.write("".join(
+                ",".join(map(float.__repr__, row)) + "\n" for row in payload["rows"]
+            ))
+        else:
+            keys = list(payload)
+            writer.writerow(keys)
+            writer.writerow([_format_cell(payload[k]) for k in keys])
     return buf.getvalue()
+
+
+def _json_rows(rows, depth):
+    """The text of json.dumps(rows, indent=2) for a list of float rows
+    nested ``depth`` levels deep, built from float.__repr__ of each cell.
+    """
+    if not rows:
+        return "[]"
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    cell = inner + "  "
+    reprs = map(functools.partial(map, float.__repr__), rows)
+    text = "".join((
+        "[", inner, "[", cell,
+        (inner + "]," + inner + "[" + cell).join(map(("," + cell).join, reprs)),
+        inner, "]", outer, "]",
+    ))
+    if not all(rows):
+        # only an empty row puts inner right after a row's opening cell
+        text = text.replace("[" + cell + inner + "]", "[]")
+    # repr spells non-finite floats nan, inf and -inf, json NaN, Infinity and
+    # -Infinity; no finite repr holds a letter but "e", so replacing is safe
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+# A table's rows stand in for "\0" while json.dumps writes the rest of the
+# report.  json escapes every quote inside a string, so this text can only
+# be a "rows" key holding that placeholder; the tables sit at depth 3
+# (report -> results -> table -> rows).
+_ROWS_PLACEHOLDER = '"rows": "\\u0000"'
+
+
+def _report_to_json(report):
+    tables = []
+    results = {}
+    for name, payload in report["results"].items():
+        if _is_table(payload):
+            tables.append(payload["rows"])
+            payload = dict(payload, rows="\0")
+        results[name] = payload
+    text = json.dumps(dict(report, results=results), indent=2)
+    pieces = text.split(_ROWS_PLACEHOLDER)
+    out = [pieces[0]]
+    for rows, piece in zip(tables, pieces[1:]):
+        out += ['"rows": ', _json_rows(rows, 3), piece]
+    out.append("\n")
+    return "".join(out)
 
 
 def _render(report, fmt):
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return _report_to_json(report)
     return _report_to_csv(report)
 
 

@@ -97,8 +97,10 @@ def _pair_current_factor(sigma, pair, d_small_label, branch_label):
     branch_label "A" has concentration difference +s, "B" has -s; the
     rest of the expression is shared:
 
-        i = [sgn*(D2-D1)/2*s - (D1+D2)/2*(sigma + 2*(g+z)*E)] / f_tilde
+        i = q*[sgn*(D2-D1)/2*s - (D1+D2)/2*(sigma + 2*(g+z)*E)] / f_tilde
             + q*[(D1+D2)/2*sigma - sgn*(D2-D1)/2*s]
+
+    The first (Fickian) term carries the q of dsigma/dphi = q*s/f_tilde.
     """
     d1, d2 = d_small_label
     g, z, q = pair.g, pair.z, pair.q
@@ -107,7 +109,7 @@ def _pair_current_factor(sigma, pair, d_small_label, branch_label):
     sgn = 1.0 if branch_label == "A" else -1.0
     half_diff = 0.5 * (d2 - d1) * sgn * s
     half_sum = 0.5 * (d1 + d2)
-    return (half_diff - half_sum * (sigma + 2.0 * (g + z) * E)) / tilde + q * (
+    return q * (half_diff - half_sum * (sigma + 2.0 * (g + z) * E)) / tilde + q * (
         half_sum * sigma - half_diff
     )
 
@@ -215,8 +217,8 @@ def _sigma_integrand(pair, d_pair, branch_label):
     It is q*i(sigma)*dphi/dsigma with the f_tilde of i's denominator
     cancelled against the one in dphi/dsigma = +/-f_tilde/(q*s):
 
-        (D2-D1)/2*(1 - q*f_tilde)
-            -/+ (D1+D2)/2*(sigma + 2*(g+z)*E - q*sigma*f_tilde)/s
+        q*[(D2-D1)/2*(1 - f_tilde)
+            -/+ (D1+D2)/2*(sigma + 2*(g+z)*E - sigma*f_tilde)/s]
 
     with the minus on branch "A" and the plus on "B".  Composing the x
     route's _pair_current_factor with dphi_dsigma instead would give
@@ -229,9 +231,9 @@ def _sigma_integrand(pair, d_pair, branch_label):
 
     def integrand(sigma):
         E, s, tilde = branch._pair_state(sigma, pair)
-        first = 0.5 * (d2 - d1) * (1.0 - q * tilde)
-        second = 0.5 * (d1 + d2) / s * (sigma + 2.0 * (g + z) * E - q * sigma * tilde)
-        return float(first + sgn * second)
+        first = 0.5 * (d2 - d1) * (1.0 - tilde)
+        second = 0.5 * (d1 + d2) / s * (sigma + 2.0 * (g + z) * E - sigma * tilde)
+        return float(q * (first + sgn * second))
 
     return integrand
 

@@ -1,5 +1,7 @@
 """End-to-end tests for the command line interface."""
 
+import csv
+import io
 import json
 import math
 import subprocess
@@ -324,3 +326,117 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "sigma_z,g_crit,sigma_c,phi_crit"
+
+
+def _csv_reference(report):
+    """CSV text from csv.writer and _format_cell on every cell, table or not."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for i, payload in enumerate(report["results"].values()):
+        if i:
+            buf.write("\n")
+        if "columns" in payload:
+            cols, rows = payload["columns"], payload["rows"]
+        else:
+            cols, rows = list(payload), [list(payload.values())]
+        writer.writerow(cols)
+        for row in rows:
+            writer.writerow([cli._format_cell(v) for v in row])
+    return buf.getvalue()
+
+
+def assert_same_text(got, want):
+    # line by line: pytest's own diff of two long unequal strings takes minutes
+    for k, (a, b) in enumerate(zip(got.splitlines(True), want.splitlines(True))):
+        assert a == b, "first difference on line %d" % (k + 1)
+    assert len(got) == len(want)
+
+
+FOUR_CURRENT = ["current", "--species", "four", "--g", "1", "--z", "25", "--g2", "1",
+                "--z2", "25", "--q2", "2", "--rho0", "-0.3", "--phi0-left", "0.25",
+                "--phi0-right", "0.05", "--d2", "2", "--d4", "0.5"]
+
+
+class TestRendering:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve"] + TestSolveAndCurrent.ARGS,
+            ["solve", "--g", "1", "--z", "40", "--phi0-left", "1.3",
+             "--phi0-right", "1.0", "--epsilon", "1e-3", "--eta", "0.03"],
+            ["current", "--phi0-left", "1.3", "--phi0-right", "1.0", "--d2", "2"]
+            + TestSolveAndCurrent.ARGS,
+            FOUR_CURRENT,
+            ["branches", "--g", "0", "--z", "1000", "--sigma-max", "100000"],
+            ["critical", "--g", "1", "--z", "2"],
+        ],
+        ids=["solve", "solve_robin", "current", "current_four", "branches",
+             "critical_subcritical"],
+    )
+    def test_json_and_csv_text(self, args, capsys):
+        code, out, _ = invoke(args + ["--format", "json"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert_same_text(out, json.dumps(report, indent=2) + "\n")
+        code, out, _ = invoke(args, capsys)
+        assert code == 0
+        assert_same_text(out, _csv_reference(report))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [[1.5, -2.0]],
+            [[math.nan, math.inf], [-math.inf, -0.0]],
+            [[5e-324, -2.2250738585072014e-308], [1e300, 0.1]],
+            [[], [0.0]],
+        ],
+        ids=["no_rows", "one_row", "non_finite", "subnormal_and_extreme",
+             "empty_row"],
+    )
+    def test_edge_cells_match_the_stdlib(self, rows):
+        width = max((len(r) for r in rows), default=0)
+        table = {"columns": ["c%d" % i for i in range(width)], "rows": rows}
+        report = {
+            # strings that look like the renderer's placeholder stay strings
+            "config": {"out": 'rows": "\x00', "mode": "\u0000"},
+            "results": {
+                "first": table,
+                "summary": {"root": math.nan, "label": "A", "n": 3},
+                "second": {"columns": ["x"], "rows": [[-0.0], [math.inf]]},
+            },
+            "warnings": ['"rows": "\x00"'],
+        }
+        want = json.dumps(report, indent=2) + "\n"
+        assert_same_text(cli._render(report, "json"), want)
+        assert_same_text(cli._render(report, "csv"), _csv_reference(report))
+
+    def test_parser_is_shared_and_keeps_no_state(self, capsys):
+        code, first, _ = invoke(
+            ["current", "--format", "json", "--d2", "2"] + TestSolveAndCurrent.ARGS,
+            capsys,
+        )
+        assert code == 0
+        # no flag of the first call leaks into the second
+        code, second, _ = invoke(["critical", "--g", "0", "--z", "3"], capsys)
+        assert code == 0
+        assert second.splitlines()[0] == "sigma_z,g_crit,sigma_c,phi_crit"
+        sz, gc, _, _ = (float(v) for v in second.splitlines()[1].split(","))
+        assert gc == pytest.approx(math.e, abs=1e-8)
+        code, again, _ = invoke(
+            ["current", "--format", "json", "--d2", "2"] + TestSolveAndCurrent.ARGS,
+            capsys,
+        )
+        assert_same_text(again, first)
+        assert json.loads(first)["config"]["d2"] == 2.0
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_parser_is_not_built_at_import(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from pnp_steric import cli; "
+             "print(cli._build_parser.cache_info().currsize)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "0"

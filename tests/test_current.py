@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -16,6 +16,8 @@ from pnp_steric.errors import (
     BranchMismatchError,
     ConsistencyError,
     DomainError,
+    EmptyDomainError,
+    NoIntersectionError,
 )
 
 PAIR = ps.TwoSpeciesParams(1.0, 20.0, 1.0)
@@ -193,24 +195,64 @@ class TestFourSpecies:
             current.integral_current_sigma_three((x, phi), CONFIG, one, "A", -0.5, 0.5)
 
 
+def _generic_inputs(config, label, slope=0.05, n=4001):
+    """A linear profile through the root with its species concentrations.
+
+    Returns (x, phi, concentrations, valences, coupling) for
+    generic_current: each steric pair (valences -q, +q, couplings g and
+    z) on the branch rhs.charge_terms gives it, then the Boltzmann ions.
+    The slope shrinks to stay inside the assembled domain.
+    """
+    fn = ps.assemble(config, label)
+    lo, hi = fn.domain
+    slope = min(slope, 0.5 * (fn.root - lo), 0.5 * (hi - fn.root))
+    x = np.linspace(-1, 1, n)
+    phi = fn.root + slope * x
+    pairs, ions, _ = ps.charge_terms(config, label)
+    size = 2 * len(pairs) + len(ions)
+    conc, valences, coupling = [], [], np.zeros((size, size))
+    for k, (pair, lab) in enumerate(pairs):
+        sig = branch.inverse_sigma(phi, pair, lab + "1")
+        conc.extend(branch.concentrations(sig, pair, lab))
+        valences.extend([-pair.q, pair.q])
+        coupling[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [
+            [pair.g, pair.z], [pair.z, pair.g]
+        ]
+    conc.extend(np.exp(-z * phi) for z in ions)
+    valences.extend(ions)
+    return x, phi, conc, valences, coupling
+
+
+FOUR_Q2 = ps.FourSpeciesConfig(
+    ps.TwoSpeciesParams(1.0, 25.0, 1.0), ps.TwoSpeciesParams(1.0, 25.0, 2.0), -0.3
+)
+
+
 class TestGenericFormula:
     def _profiles(self, slope=0.05, n=4001):
-        fn = ps.assemble_three_species(CONFIG, "A")
-        x = np.linspace(-1, 1, n)
-        phi = fn.root + slope * x
-        sig = branch.inverse_sigma(phi, PAIR, "A1")
-        c1, c2 = branch.concentrations(sig, PAIR, "A")
-        c3 = np.exp(-CONFIG.z3 * phi)
-        coupling = np.array(
-            [[PAIR.g, PAIR.z, 0.0], [PAIR.z, PAIR.g, 0.0], [0.0, 0.0, 0.0]]
-        )
-        valences = [-PAIR.q, PAIR.q, CONFIG.z3]
-        return x, phi, [c1, c2, c3], valences, coupling
+        return _generic_inputs(CONFIG, "A", slope, n)
 
     def test_matches_branch_formula(self):
         x, phi, conc, valences, coupling = self._profiles()
         prof_b = current.pointwise_current_three((x, phi), CONFIG, DIFF, "A")
         prof_g = current.generic_current((x, phi), conc, valences, DIFF, coupling)
+        err = np.max(np.abs(prof_b.values[1:-1] - prof_g.values[1:-1]))
+        assert err <= 1e-6
+
+    @pytest.mark.parametrize(
+        "config, label",
+        [
+            (ps.ThreeSpeciesConfig(ps.TwoSpeciesParams(1.0, 25.0, 2.0), 1.0, 0.5), "A"),
+            (FOUR_Q2, "A"),
+            (ps.FourSpeciesConfig(FOUR_Q2.pair12, FOUR_Q2.pair34, 0.3), "B"),
+        ],
+        ids=["three_q2", "four_A", "four_B"],
+    )
+    def test_matches_branch_formula_for_valence_two(self, config, label):
+        x, phi, conc, valences, coupling = _generic_inputs(config, label)
+        diffusion = ps.DiffusionSet((1.0, 2.0, 1.0, 0.5))
+        prof_b = current.pointwise_current((x, phi), config, diffusion, label)
+        prof_g = current.generic_current((x, phi), conc, valences, diffusion, coupling)
         err = np.max(np.abs(prof_b.values[1:-1] - prof_g.values[1:-1]))
         assert err <= 1e-6
 
@@ -244,6 +286,43 @@ class TestGenericFormula:
 
 def _supercritical(g, z_factor, q):
     return ps.TwoSpeciesParams(g, z_factor * ps.g_crit(g), q)
+
+
+_PAIRS = st.builds(
+    _supercritical, st.floats(0.0, 3.0), st.floats(1.05, 10.0),
+    st.sampled_from([1.0, 2.0, 3.0]),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    config=st.one_of(
+        st.builds(ps.ThreeSpeciesConfig, _PAIRS, st.sampled_from([1.0, 2.0]),
+                  st.floats(0.1, 1.0)),
+        st.builds(ps.FourSpeciesConfig, _PAIRS, _PAIRS,
+                  st.sampled_from([-0.5, -0.1, 0.1, 0.5])),
+    ),
+    label=st.sampled_from(["A", "B"]),
+    d=st.tuples(*[st.floats(0.1, 5.0)] * 4),
+)
+def test_pointwise_current_is_the_generic_formula(config, label, d):
+    # criterion 13's comparison, for every valence q and both labels
+    try:
+        x, phi, conc, valences, coupling = _generic_inputs(config, label)
+    except (NoIntersectionError, EmptyDomainError):
+        assume(False)
+    diffusion = ps.DiffusionSet(d)
+    direct = current.pointwise_current((x, phi), config, diffusion, label).values
+    generic = current.generic_current((x, phi), conc, valences, diffusion, coupling)
+    err = np.max(np.abs(direct[1:-1] - generic.values[1:-1]))
+    # generic_current's species terms cancel down to the current (nearly
+    # all the way at g = 0), so their size bounds its rounding error
+    dphi = current.grid_derivative(x, phi)
+    terms = sum(
+        abs(z) * di * (np.abs(current.grid_derivative(x, c)) + np.abs(z * c * dphi))
+        for z, di, c in zip(valences, d, conc)
+    )
+    assert err <= 1e-5 * np.max(np.abs(generic.values[1:-1])) + 1e-8 * np.max(terms)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -9,7 +9,11 @@ rho0 = +0.3 and -0.3, each on labels A and B.  For each: the bulk root;
 Dirichlet and Robin solves at eps = 1e-2, 1e-4 and 1e-6 with their
 eigenvalues, pointwise current and both current routes; the Robin layer
 limits; and scalar and array segment inverses.  Then criterion 8's three
-profiles and midpoint gaps.
+profiles and midpoint gaps.  Last, the exit code and the sha1 of the
+exact JSON and CSV text of CLI runs: ``critical``, ``branches``,
+Dirichlet and Robin ``solve``, three-species ``current``, four-species
+``current`` with q2 = 1 and q2 = 2, and the point file of a one-value
+``sweep``; so the diff checks the rendered bytes as well as the numbers.
 
 Each run imports the ``src/`` next to this file, so copying the script
 into a checkout of the parent commit and diffing the two outputs checks
@@ -23,17 +27,22 @@ The bits depend on the CPU's numpy dispatch (exp and log), so compare
 runs on one machine.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import math
+import os
 import pathlib
 import sys
+import tempfile
 
 import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import pnp_steric as ps  # noqa: E402
-from pnp_steric import bvp, current  # noqa: E402
+from pnp_steric import bvp, cli, current  # noqa: E402
 
 EPSILONS = (1e-2, 1e-4, 1e-6)
 GAMMA = 0.5
@@ -61,6 +70,8 @@ def cases():
 def show(name, value):
     if isinstance(value, (bool, int, str)):
         text = str(value)
+    elif isinstance(value, bytes):
+        text = "%d sha1:%s" % (len(value), hashlib.sha1(value).hexdigest())
     elif np.ndim(value):
         value = np.ascontiguousarray(value, dtype=float)
         text = "%d sha1:%s" % (value.size, hashlib.sha1(value.tobytes()).hexdigest())
@@ -155,12 +166,55 @@ def digest_criterion_8():
         show(key + ".gap", abs(mid - root))
 
 
+THREE = ["--g", "1", "--z", "40", "--d2", "2", "--phi0-left", "1.3", "--phi0-right",
+         "1.0", "--x1", "-0.5", "--x2", "0.5"]
+FOUR = ["--species", "four", "--g", "1", "--z", "25", "--g2", "1", "--z2", "25",
+        "--rho0", "-0.3", "--d2", "2", "--d4", "0.5"]
+CLI_RUNS = (
+    ("critical", ["critical", "--g", "1", "--z", "20"]),
+    ("branches", ["branches", "--g", "1", "--z", "20", "--sigma-max", "3"]),
+    ("solve", ["solve", "--g", "1", "--z", "40", "--phi0-left", "1.3",
+               "--phi0-right", "1.0"]),
+    ("solve.robin", ["solve", "--g", "1", "--z", "20", "--epsilon", "1e-3",
+                     "--eta", repr(math.sqrt(1e-3 / (2.0 * GAMMA))),
+                     "--phi0-left", "0.25", "--phi0-right", "0.15"]),
+    ("current.three", ["current"] + THREE),
+    ("current.four(q2=1)", ["current"] + FOUR + ["--phi0-left", "-0.3",
+                                                 "--phi0-right", "-0.5"]),
+    ("current.four(q2=2)", ["current"] + FOUR + ["--q2", "2", "--phi0-left", "0.25",
+                                                 "--phi0-right", "0.05"]),
+)
+
+
+def digest_cli():
+    """Exit code and sha1 of the exact text of each CLI run, JSON and CSV."""
+    for fmt in ("json", "csv"):
+        for name, argv in CLI_RUNS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv + ["--format", fmt])
+            key = "cli.%s.%s" % (name, fmt)
+            show(key + ".exit", code)
+            show(key, out.getvalue().encode())
+        with tempfile.TemporaryDirectory() as tmp:
+            stem = os.path.join(tmp, "scan")
+            code = cli.main(["sweep", "--target", "current", "--param", "d2",
+                             "--values", "2"] + THREE
+                            + ["--format", fmt, "--out", stem])
+            show("cli.sweep.%s.exit" % fmt, code)
+            with open(stem + "_manifest.json") as fh:
+                path = json.load(fh)["points"][0]["file"]
+            with open(path, "rb") as fh:
+                show("cli.sweep.%s" % fmt, fh.read())
+
+
 def main():
     for name, cfg, diffusion, offset in cases():
         for label in ("A", "B"):
             digest_case(name, cfg, diffusion, offset, label)
     digest_inverses()
     digest_criterion_8()
+    digest_cli()
 
 
 if __name__ == "__main__":
