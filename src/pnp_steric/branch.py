@@ -598,7 +598,7 @@ def c_diff_and_slope_on_segment(phi, params, segment):
     if segment not in ("A1", "B1"):
         raise DomainError("segment must be 'A1' or 'B1', got %r" % (segment,))
     g, z, q = params.g, params.z, params.q
-    sig = np.asarray(inverse_sigma(phi, params, segment), dtype=float)
+    sig = inverse_sigma(phi, params, segment)  # a float for a float phi
     E, s, tilde = _pair_state(sig, params)
     with np.errstate(divide="ignore"):
         slope = q * (sig + 2.0 * (g + z) * E) / np.abs(tilde)

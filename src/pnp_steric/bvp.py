@@ -26,15 +26,17 @@ against the bulk root, pointwise bounds, an exponential interior
 envelope, boundary layer limits (from the closed-form primitive of f
 when the right-hand side carries one, by adaptive Simpson quadrature of
 f otherwise), linearised stability (the bottom eigenvalue of the
-symmetrised tridiagonal operator, by bisection), and unbounded growth
-when f has no root.
+symmetrised tridiagonal operator, by shifted inverse iteration whose
+lower bound a LAPACK pttrf factorisation certifies), and unbounded
+growth when f has no root.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
     DomainError,
@@ -70,6 +72,12 @@ _MAX_CONSECUTIVE_CLAMPS = 5
 # relative tolerance _REL_TOL of the integral, the quadrature, whose
 # rounding shrinks with |s - c|, takes the integral instead.
 _PRIMITIVE_ROUNDING = 32.0 * np.finfo(float).eps
+# Shifted inverse iteration for the stability eigenvalue: stop once the
+# certified bracket is 4 ulp * ||T|| wide, the accuracy of LAPACK stebz
+# bisection at its default tolerance; NonconvergenceError after
+# _EIGEN_MAX_ITER solves.
+_EIGEN_ULP = np.finfo(float).eps
+_EIGEN_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -393,7 +401,7 @@ def boundary_layer_limits(rhs, c, bc, gamma):
         raise DomainError("gamma must be finite and nonnegative, got %r" % (gamma,))
 
     def quadrature(s):
-        return adaptive_simpson(lambda t: float(rhs(np.asarray(t))), c, s)
+        return adaptive_simpson(lambda t: float(rhs(t)), c, s)
 
     if rhs.primitive is None:
         integral = quadrature
@@ -418,6 +426,96 @@ def boundary_layer_limits(rhs, c, bc, gamma):
     return limit(bc.phi0_left), limit(bc.phi0_right)
 
 
+def _factor_shifted(main, off, shift, d, e):
+    """Factor T - shift*I in place into (d, e) by LAPACK pttrf; True iff positive definite.
+
+    pttrf succeeds iff every pivot of the LDL^T recurrence is positive,
+    the same recurrence whose negative pivots count the eigenvalues
+    below the shift in Sturm bisection: success certifies shift < lambda_1.
+    """
+    np.subtract(main, shift, out=d)
+    e[:] = off
+    return dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2] == 0
+
+
+def _smallest_tridiagonal_eigenvalue(main, off, start):
+    """Bottom eigenvalue of the symmetric tridiagonal T = (main, off).
+
+    Shifted inverse iteration inside a bracket sigma < lambda_1 <= rho.
+    sigma holds only while pttrf factors T - sigma*I (_factor_shifted);
+    it starts at start, or at stebz's widened Gerschgorin bound when
+    that does not factor.  rho is the smallest of the Rayleigh quotients
+    of the iterates and the shifts that failed to factor.  Each step
+    solves (T - sigma*I) y = v with the factors (pttrs) and then tries to
+    raise sigma to rho - r^2/(rho - sigma), rho - r and the bracket's
+    midpoint in turn, r the residual norm of the iterate: the first that
+    factors becomes sigma, one that does not becomes rho.  The midpoint
+    halves the bracket when the others do not apply.  Returns the
+    bracket's midpoint once it is at most 4 ulp * ||T|| wide, ||T|| the
+    larger magnitude of the two Gerschgorin bounds as in stebz;
+    NonconvergenceError after _EIGEN_MAX_ITER steps.  Certification is
+    what keeps the iteration on lambda_1 when the spectrum is clustered,
+    where plain Rayleigh quotient iteration can settle on lambda_2.
+
+    The steps allocate nothing: one (7, n) workspace holds the held
+    factors, a trial's factors, the iterate v, w = (T - sigma*I) v and
+    scratch.
+    """
+    n = main.size
+    radius = np.zeros(n)
+    radius[:-1] = np.abs(off)
+    radius[1:] += np.abs(off)
+    lower = float(np.min(main - radius))
+    rho = float(np.max(main + radius))
+    norm = max(abs(lower), abs(rho))
+    tol = 4.0 * _EIGEN_ULP * norm
+    work = np.empty((7, n))
+    held, spare = (work[0], work[1, :-1]), (work[2], work[3, :-1])
+    v, w, scratch = work[4], work[5], work[6]
+    sigma = start
+    if not _factor_shifted(main, off, sigma, *held):
+        sigma = lower - 2.1 * n * _EIGEN_ULP * norm
+        if not _factor_shifted(main, off, sigma, *held):
+            raise NonconvergenceError(
+                "no shift below the Gerschgorin bound %.17g factors" % lower
+            )
+    v.fill(1.0)
+    for _ in range(_EIGEN_MAX_ITER):
+        dpttrs(*held, v, overwrite_b=1)
+        v /= np.linalg.norm(v)
+        # (T - sigma*I) v: the quotient in the shifted operator keeps its
+        # rounding at the size of rho - sigma, not of ||T||
+        np.subtract(main, sigma, out=w)
+        w *= v
+        np.multiply(off, v[1:], out=scratch[1:])
+        w[:-1] += scratch[1:]
+        np.multiply(off, v[:-1], out=scratch[1:])
+        w[1:] += scratch[1:]
+        vv = float(v @ v)
+        gap = float(v @ w) / vv
+        rho = min(rho, sigma + gap)
+        if rho - sigma <= tol:
+            break
+        np.multiply(v, gap, out=scratch)
+        np.subtract(w, scratch, out=scratch)
+        r = float(np.linalg.norm(scratch)) / math.sqrt(vv)
+        for trial in (rho - r * r / (rho - sigma), rho - r, 0.5 * (sigma + rho)):
+            if not sigma < trial < rho:
+                continue
+            if _factor_shifted(main, off, trial, *spare):
+                sigma, held, spare = trial, spare, held
+                break
+            rho = trial
+        if rho - sigma <= tol:
+            break
+    else:
+        raise NonconvergenceError(
+            "stability eigenvalue bracket [%.17g, %.17g] still wider than %.3e "
+            "after %d inverse iteration steps" % (sigma, rho, tol, _EIGEN_MAX_ITER)
+        )
+    return 0.5 * (sigma + rho)
+
+
 def linearized_smallest_eigenvalue(solution, rhs):
     """Smallest eigenvalue of -eps v'' + f'(phi) v with homogeneous data.
 
@@ -427,8 +525,12 @@ def linearized_smallest_eigenvalue(solution, rhs):
     off-diagonal pairs (-c*(1 - d/a), -c) at its ends, c = eps/h^2 and
     0 <= d/a < 1/3.  Each pair has a positive product, so a diagonal
     similarity makes the operator symmetric with off-diagonal
-    -c*sqrt(1 - d/a) there; the bottom of its spectrum is then found by
-    symmetric tridiagonal bisection.
+    -c*sqrt(1 - d/a) there.  Its bottom eigenvalue is found by certified
+    shifted inverse iteration (_smallest_tridiagonal_eigenvalue) to
+    within 4 ulp of the operator's norm, starting from the lower bound
+    min f' (the symmetrised Robin Laplacian is positive semidefinite).
+    A non-finite f' on the profile (a potential at the turning point,
+    where f' is infinite) raises DomainError.
     """
     phi = solution.values
     x = solution.nodes
@@ -436,6 +538,11 @@ def linearized_smallest_eigenvalue(solution, rhs):
     eps = solution.epsilon
     n = phi.size
     fp = np.asarray(rhs.derivative(phi[1:-1]), dtype=float)
+    bad = np.count_nonzero(~np.isfinite(fp))
+    if bad:
+        raise DomainError(
+            "f' is not finite at %d of the %d interior nodes" % (bad, fp.size)
+        )
 
     c = eps / (h * h)
     a, b, d = _robin_row(h, solution.bc.eta)
@@ -444,10 +551,7 @@ def linearized_smallest_eigenvalue(solution, rhs):
     main[-1] += c * b / a
     off = np.full(n - 3, -c)
     off[0] = off[-1] = -c * math.sqrt(1.0 - d / a)
-    vals = eigh_tridiagonal(
-        main, off, eigvals_only=True, select="i", select_range=(0, 0)
-    )
-    return float(vals[0])
+    return _smallest_tridiagonal_eigenvalue(main, off, float(np.min(fp)))
 
 
 def unbounded_growth_probe(rhs, epsilons):

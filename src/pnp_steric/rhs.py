@@ -115,6 +115,9 @@ class RhsFunction:
 
     Calling the function, value_and_derivative or antiderivative checks
     phi against the domain (up to roundoff slack) and clips it onto it.
+    A float phi, a root search's scalar call, is checked and clipped as a
+    float and reaches the callables as one; assemble's combined then
+    returns float scalars, the bits a one-element array would hold.
     """
 
     label: str
@@ -127,13 +130,20 @@ class RhsFunction:
 
     def _in_domain(self, phi):
         lo, hi = self.domain
-        phi = np.asarray(phi, dtype=float)
         slack = 1e-12 * max(1.0, abs(lo) if math.isfinite(lo) else 0.0,
                             abs(hi) if math.isfinite(hi) else 0.0)
-        if np.any(phi < lo - slack) or np.any(phi > hi + slack):
+        scalar = isinstance(phi, float)
+        if scalar:
+            outside = phi < lo - slack or phi > hi + slack
+        else:
+            phi = np.asarray(phi, dtype=float)
+            outside = np.any(phi < lo - slack) or np.any(phi > hi + slack)
+        if outside:
             raise DomainError(
                 "potential outside the right-hand side domain [%g, %g]" % (lo, hi)
             )
+        if scalar:
+            return lo if phi < lo else hi if phi > hi else phi
         return np.clip(phi, lo, hi)
 
     def __call__(self, phi):
@@ -236,8 +246,12 @@ def assemble(config, label):
             )
 
     def combined(phi):
-        phi = np.asarray(phi, dtype=float)
-        runs, back = branch._runs(phi.ravel())
+        scalar = isinstance(phi, float)
+        if scalar:
+            runs = phi
+        else:
+            phi = np.asarray(phi, dtype=float)
+            runs, back = branch._runs(phi.ravel())
         f = fp = 0.0
         for pair, segment in segments:
             diff, slope = branch.c_diff_and_slope_on_segment(runs, pair, segment)
@@ -248,6 +262,8 @@ def assemble(config, label):
             f = f - z * boltzmann
             fp = fp + z * z * boltzmann
         f = f + background
+        if scalar:
+            return f, fp
         return f[back].reshape(phi.shape), fp[back].reshape(phi.shape)
 
     def primitive(phi):

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 import pnp_steric as ps
 from pnp_steric import branch, bvp, current
 from pnp_steric.errors import (
     DomainError,
     InconsistentProfileError,
+    NonconvergenceError,
     PnpStericError,
     RootPresentError,
     SignError,
@@ -53,6 +54,46 @@ CFG20 = ps.ThreeSpeciesConfig(ps.TwoSpeciesParams(1.0, 20.0, 1.0), 1.0, 0.5)
 CFG4 = ps.FourSpeciesConfig(
     ps.TwoSpeciesParams(1.0, 25.0, 1.0), ps.TwoSpeciesParams(1.0, 25.0, 2.0), -0.3
 )
+ULP = np.finfo(float).eps
+
+
+def slope_rhs(fp):
+    """Hand-built right-hand side whose f' on the interior nodes is the array fp."""
+    return ps.RhsFunction(
+        "A", (-math.inf, math.inf), None,
+        lambda p: np.zeros_like(np.asarray(p, dtype=float)),
+        lambda p: np.asarray(fp, dtype=float),
+    )
+
+
+def zero_profile(m, eps, eta):
+    """A BvpSolution on m interior nodes, for operators given by f' alone."""
+    nodes = np.linspace(-1.0, 1.0, m + 2)
+    return bvp.BvpSolution(nodes, np.zeros(m + 2), 0.0, 0, "constant", eps,
+                           bvp.RobinBC(0.0, 0.0, eta))
+
+
+def symmetrised_operator(sol, fp):
+    """(main, off) as linearized_smallest_eigenvalue builds them, and ||T||."""
+    h = sol.nodes[1] - sol.nodes[0]
+    c = sol.epsilon / (h * h)
+    a, b, d = bvp._robin_row(h, sol.bc.eta)
+    main = 2.0 * c + np.asarray(fp, dtype=float)
+    main[0] += c * b / a
+    main[-1] += c * b / a
+    off = np.full(main.size - 1, -c)
+    off[0] = off[-1] = -c * math.sqrt(1.0 - d / a)
+    radius = np.zeros(main.size)
+    radius[:-1] = np.abs(off)
+    radius[1:] += np.abs(off)
+    norm = max(abs(float(np.min(main - radius))), abs(float(np.max(main + radius))))
+    return main, off, norm
+
+
+def stebz(main, off, index=0):
+    """LAPACK stebz bisection for one eigenvalue: the tests' oracle."""
+    return float(eigh_tridiagonal(main, off, eigvals_only=True, select="i",
+                                  select_range=(index, index))[0])
 
 
 class TestValidation:
@@ -490,6 +531,50 @@ class TestStability:
         lam = bvp.linearized_smallest_eigenvalue(sol, three_species)
         assert lam == pytest.approx(reference, rel=1e-10)
 
+    @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("m", [3, 40, 1999, 19999])
+    @pytest.mark.parametrize("mu", [1.4055, -2.5])
+    def test_constant_slope_closed_form(self, eps, m, mu):
+        # Dirichlet data and f' = mu: lambda_k = mu + 4c*sin^2(k*pi/(2(m+1))).
+        # At eps = 1e-8 and m = 19999, c = 1 and lambda_2 - lambda_1 = 7e-8:
+        # a clustered spectrum where uncertified iteration can land on lambda_2.
+        sol = zero_profile(m, eps, 0.0)
+        h = sol.nodes[1] - sol.nodes[0]
+        c = eps / (h * h)
+        theta = math.pi / (2.0 * (m + 1))
+        exact = mu + 4.0 * c * math.sin(theta) ** 2
+        norm = max(abs(exact), abs(mu + 4.0 * c * math.cos(theta) ** 2))
+        lam = bvp.linearized_smallest_eigenvalue(sol, slope_rhs(np.full(m, mu)))
+        assert abs(lam - exact) <= 8.0 * ULP * norm
+
+    def test_robin_case_lies_below_the_second_eigenvalue(self):
+        # acceptance criterion 9's case: lambda_2 - lambda_1 is about 7e-6
+        fn = ps.assemble(CFG20, "A")
+        eps = 1e-6
+        bc = bvp.RobinBC(fn.root + 0.3, fn.root + 0.2, math.sqrt(eps / (2.0 * 0.5)))
+        sol = bvp.solve(bvp.BvpProblem(eps, fn, bc))
+        main, off, norm = symmetrised_operator(sol, fn.derivative(sol.values[1:-1]))
+        lam = bvp.linearized_smallest_eigenvalue(sol, fn)
+        lam1, lam2 = stebz(main, off), stebz(main, off, 1)
+        assert abs(lam - lam1) <= 8.0 * ULP * norm
+        assert lam < lam2 - 0.5 * (lam2 - lam1)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_slope_rejected(self, bad):
+        fp = np.full(50, 1.0)
+        fp[17] = bad
+        with pytest.raises(DomainError):
+            bvp.linearized_smallest_eigenvalue(zero_profile(50, 1e-3, 0.1), slope_rhs(fp))
+
+    def test_iteration_cap_raises(self, three_species, monkeypatch):
+        c = three_species.root
+        sol = bvp.solve(
+            bvp.BvpProblem(1e-4, three_species, bvp.RobinBC(c + 0.3, c + 0.2, 0.01))
+        )
+        monkeypatch.setattr(bvp, "_EIGEN_MAX_ITER", 1)
+        with pytest.raises(NonconvergenceError):
+            bvp.linearized_smallest_eigenvalue(sol, three_species)
+
     def test_richardson_refinement(self):
         lams = []
         for n in (1001, 2001):
@@ -497,6 +582,28 @@ class TestStability:
             lams.append(bvp.linearized_smallest_eigenvalue(sol, linear_rhs()))
         exact = 1.0 + (math.pi / 2.0) ** 2
         assert abs(lams[1] - exact) < 0.3 * abs(lams[0] - exact)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(3, 4000),
+    log_eps=st.floats(-8.0, 0.0),
+    eta=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+    levels=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6),
+    layer=st.floats(-3.0, 10.0),
+    width=st.floats(0.5, 5.0),
+)
+def test_eigenvalue_matches_bisection(m, log_eps, eta, levels, layer, width):
+    # f' with plateaus (levels), negative values and boundary layers
+    eps = 10.0**log_eps
+    sol = zero_profile(m, eps, eta)
+    x = sol.nodes[1:-1]
+    fp = np.repeat(levels, -(-m // len(levels)))[:m]
+    decay = width * math.sqrt(eps)
+    fp = fp + layer * (np.exp(-(1.0 + x) / decay) + np.exp(-(1.0 - x) / decay))
+    main, off, norm = symmetrised_operator(sol, fp)
+    lam = bvp.linearized_smallest_eigenvalue(sol, slope_rhs(fp))
+    assert abs(lam - stebz(main, off)) <= 8.0 * ULP * norm
 
 
 class TestUnboundedGrowth:

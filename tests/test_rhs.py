@@ -262,6 +262,28 @@ def _current_factor(value, config, label):
     return total
 
 
+@pytest.mark.parametrize("case", range(len(_RUN_CASES)))
+def test_float_calls_stay_floats_bit_for_bit(case):
+    """A float potential is checked, clipped and evaluated on floats: the
+    results are float scalars, not 0-d arrays, with the bits of a
+    one-element array call, also within the roundoff slack of the ends."""
+    _, _, fn = _run_case(case)
+    lo, hi = fn.domain
+    outside = 1e-13 * max(1.0, abs(lo), abs(hi))
+    for value in (lo - outside, lo, fn.root, 0.5 * (lo + hi), hi, hi + outside):
+        clipped = fn._in_domain(value)
+        assert isinstance(clipped, float) and clipped == min(max(value, lo), hi)
+        f, fp = fn.value_and_derivative(value)
+        ref_f, ref_fp = fn.value_and_derivative(np.array([value]))
+        assert isinstance(f, float) and isinstance(fp, float)
+        assert _bits(f) == _bits(ref_f) and _bits(fp) == _bits(ref_fp)
+        assert _bits(fn(value)) == _bits(ref_f)
+        # the evaluator and derivative fields themselves do not clip
+        assert _bits(fn.derivative(value)) == _bits(fn.derivative(np.array([value])))
+    with pytest.raises(DomainError):
+        fn(hi + 1e-9 * max(1.0, abs(hi)))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     case=st.sampled_from(range(len(_RUN_CASES))),
