@@ -17,8 +17,9 @@ Layers, from the bottom up:
 
 Helpers: :mod:`pnp_steric.roots` (Brent's bracketed root finder, the
 same arithmetic as scipy's) and :mod:`pnp_steric.quadrature` (adaptive
-Simpson).  Of scipy only ``scipy.linalg`` is imported, which keeps
-``import pnp_steric`` free of scipy.optimize and scipy.integrate.
+Simpson).  No scipy module is imported: :mod:`pnp_steric.bvp` loads
+scipy's compiled LAPACK extension ``scipy/linalg/_flapack`` from its
+file for the three routines it calls (gtsv, pttrf, pttrs).
 """
 
 from .branch import (

@@ -28,15 +28,20 @@ when the right-hand side carries one, by adaptive Simpson quadrature of
 f otherwise), linearised stability (the bottom eigenvalue of the
 symmetrised tridiagonal operator, by shifted inverse iteration whose
 lower bound a LAPACK pttrf factorisation certifies), and unbounded
-growth when f has no root.
+growth when f has no root.  The three LAPACK routines, gtsv, pttrf and
+pttrs, are the f2py wrappers of scipy's compiled extension
+scipy/linalg/_flapack, loaded from its file (_load_flapack), so that
+importing the package imports no scipy module.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
     DomainError,
@@ -78,6 +83,34 @@ _PRIMITIVE_ROUNDING = 32.0 * np.finfo(float).eps
 # _EIGEN_MAX_ITER solves.
 _EIGEN_ULP = np.finfo(float).eps
 _EIGEN_MAX_ITER = 100
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrapper _flapack, loaded from its own file.
+
+    Importing it through scipy.linalg would run that package's __init__,
+    which under scipy 1.17 loads about 320 more modules, two thirds of
+    the package's import time.  Creating the module registers it in
+    sys.modules under the bare name "_flapack"; that entry is dropped,
+    so the package claims no top-level module name.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        "_flapack", [os.path.join(scipy.submodule_search_locations[0], "linalg")]
+    )
+    if spec is None:
+        raise ImportError(
+            "pnp_steric needs scipy>=1.11 with its compiled LAPACK wrapper "
+            "scipy/linalg/_flapack, which was not found"
+        )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.pop(spec.name, None)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgtsv, dpttrf, dpttrs = _flapack.dgtsv, _flapack.dpttrf, _flapack.dpttrs
 
 
 @dataclass(frozen=True)
@@ -178,8 +211,10 @@ def _newton_step(h, eps, fp, bc, res):
     J is tridiagonal but for the Robin corners J[0, 2] = J[n-1, n-3] = d.
     Row 0 minus m = d/c times row 1 (c = eps/h^2) clears the first, the
     mirror operation the second (m = 0 for eta = 0), and LAPACK gtsv
-    solves the rest: ab holds solve_banded's (1, 1) storage,
-    ab[1 + i - j, j] = J[i, j].
+    solves the rest in place: ab holds the three diagonals as
+    ab[1 + i - j, j] = J[i, j], superdiagonal ab[0, 1:], diagonal ab[1]
+    and subdiagonal ab[2, :-1].  A non-finite entry of J or res raises
+    DomainError, a singular J NonconvergenceError.
     """
     c = eps / (h * h)
     a, b, d = _robin_row(h, bc.eta)
@@ -193,7 +228,15 @@ def _newton_step(h, eps, fp, bc, res):
     x = -res
     x[0] -= m * x[1]
     x[-1] -= m * x[-2]
-    return solve_banded((1, 1), ab, x, overwrite_ab=True, overwrite_b=True)
+    if not (np.isfinite(ab).all() and np.isfinite(x).all()):
+        raise DomainError("Newton system has a non-finite entry")
+    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], x, 1, 1, 1, 1)[3:]
+    if info > 0:
+        raise NonconvergenceError(
+            "Newton matrix is singular: LAPACK gtsv found a zero pivot in row %d"
+            % info
+        )
+    return x
 
 
 def _newton(phi, h, eps, rhs, bc, domain, tol):

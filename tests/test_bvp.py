@@ -222,20 +222,42 @@ class TestSolve:
         assert got.tobytes() == expected.tobytes()
 
     def test_newton_solves_tridiagonal_systems_only(self, three_species, monkeypatch):
-        bands = []
-        solve_banded = bvp.solve_banded
+        sizes = []
+        dgtsv = bvp.dgtsv
 
-        def recording(l_and_u, *args, **kwargs):
-            bands.append(tuple(l_and_u))
-            return solve_banded(l_and_u, *args, **kwargs)
+        def recording(dl, d, du, b, *overwrite):
+            sizes.append((dl.size, d.size, du.size, b.size))
+            return dgtsv(dl, d, du, b, *overwrite)
 
-        monkeypatch.setattr(bvp, "solve_banded", recording)
+        monkeypatch.setattr(bvp, "dgtsv", recording)
         c = three_species.root
         sol = bvp.solve(
             bvp.BvpProblem(1e-3, three_species, bvp.RobinBC(c + 0.3, c - 0.1, 0.1))
         )
+        n = sol.nodes.size
         assert sol.iterations >= 1
-        assert bands == [(1, 1)] * sol.iterations
+        assert sizes == [(n - 1, n, n - 1, n)] * sol.iterations
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_newton_system_is_a_domain_error(self, three_species, bad):
+        h, phi, bc, fp = self.step_problem(three_species, 0.1)
+        fp[7] = bad
+        res = np.sin(3.0 * np.linspace(-1.0, 1.0, phi.size)) + 0.5
+        with pytest.raises(DomainError):
+            bvp._newton_step(h, 1e-2, fp, bc, res)
+        fp[7] = 0.0
+        res[0] = bad
+        with pytest.raises(DomainError):
+            bvp._newton_step(h, 1e-2, fp, bc, res)
+
+    def test_singular_newton_system_is_nonconvergence(self):
+        # three nodes, h = 1, Dirichlet: the middle row (c, -2c - f', c) with
+        # c = eps and f' = -2c is c times the sum of the two identity rows
+        eps = 0.75
+        with pytest.raises(NonconvergenceError, match="singular"):
+            bvp._newton_step(
+                1.0, eps, np.array([-2.0 * eps]), bvp.RobinBC(0.0, 0.0), np.ones(3)
+            )
 
     def test_data_near_the_domain_ends_solve(self):
         cfg = ps.ThreeSpeciesConfig(ps.TwoSpeciesParams(0.5, 10.0, 2.0), 1.0, 0.5)
